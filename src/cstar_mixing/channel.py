@@ -57,12 +57,10 @@ class MarkovOperator:
     positivity_claim: str = "declared"
     kraus: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
     stochastic: np.ndarray | None = field(default=None, repr=False)
-    # per-Config memos of the spectral layer (spectral.spectrum and the
-    # Cesàro projector); valid because the matrix is frozen
-    _spectrum_memo: dict = field(default_factory=dict, init=False,
+    # per-Config memo of spectral._spectral_data; valid because the matrix
+    # is frozen
+    _spectral_memo: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
-    _cesaro_memo: dict = field(default_factory=dict, init=False,
-                               repr=False, compare=False)
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.shape != self.shape:
@@ -308,31 +306,20 @@ def dual(op: MarkovOperator) -> DualMap:
 # invariant states
 # ---------------------------------------------------------------------------
 
-def _null_space(m: np.ndarray, tol: float, ill_limit: float) -> np.ndarray:
-    """Orthonormal null-space basis with an ambiguity guard at the cut."""
-    u, s, vh = np.linalg.svd(m)
-    cut = tol * max(1.0, float(s[0])) if s.size else tol
-    ambiguous = [x for x in s if cut / 10.0 < x < cut * 10.0]
-    if ambiguous:
-        raise NumericalDegeneracy(
-            f"singular values {ambiguous} straddle the rank cut {cut:.1e}")
-    null_mask = s <= cut
-    return vh[null_mask].conj().T
+def canonical_invariant_state(op: MarkovOperator, config: Config = DEFAULT) -> Functional:
+    """The invariant state obtained by Cesàro-averaging the maximally mixed one.
 
-
-def _dual_cesaro_state(op: MarkovOperator, config: Config) -> Functional:
-    """Invariant state from averaging the maximally mixed state under the dual.
-
-    Uses the spectral projector of the dual at eigenvalue 1; always
-    invariant, and a state whenever T is positive. The dual matrix is
-    K M^T K with K the transpose permutation (an involution), so its Cesàro
-    projector is K P^T K for the memoized Cesàro projector P of T itself,
-    and v = K P^T K u is (P^T @ u[k])[k].
+    Coincides with the unique invariant state when there is only one; always
+    gives a deterministic, basis-independent choice when there are several.
+    Reads the Cesàro projector P of the operator's memoized spectral data
+    (raising DefectivePeripheral for a Jordan block at 1): the dual matrix is
+    K M^T K with K the transpose permutation (an involution), so the dual's
+    projector is K P^T K, and the averaged state is (P^T @ u[k])[k].
     """
-    from .spectral import _cesaro_projector  # local import, no cycle at module load
+    from .spectral import _spectral_data  # local import, no cycle at module load
     k = transpose_permutation(op.shape)
     u = Functional.uniform_state(op.shape).vec()
-    v = (_cesaro_projector(op, config).T @ u[k])[k]
+    v = (_spectral_data(op, config).cesaro().T @ u[k])[k]
     psi = Functional.from_vec(op.shape, v)
     # invariance forces psi(1) real; normalize trace to one
     total = sum(np.trace(b) for b in psi.blocks)
@@ -341,20 +328,11 @@ def _dual_cesaro_state(op: MarkovOperator, config: Config) -> Functional:
     return psi * (1.0 / total)
 
 
-def canonical_invariant_state(op: MarkovOperator, config: Config = DEFAULT) -> Functional:
-    """The invariant state obtained by Cesàro-averaging the maximally mixed one.
-
-    Coincides with the unique invariant state when there is only one; always
-    gives a deterministic, basis-independent choice when there are several.
-    """
-    return _dual_cesaro_state(op, config)
-
-
 def _candidate_states(op: MarkovOperator, null: np.ndarray,
                       config: Config) -> Iterator[Functional]:
     """The canonical state, then the normalized positive Jordan parts of the
     Hermitian parts of each fixed functional, produced on demand."""
-    yield _dual_cesaro_state(op, config)
+    yield canonical_invariant_state(op, config)
     for idx in range(null.shape[1]):
         psi = Functional.from_vec(op.shape, null[:, idx])
         h1 = (psi + psi.adjoint()) * 0.5
@@ -373,20 +351,28 @@ def _candidate_states(op: MarkovOperator, null: np.ndarray,
 def invariant_states(op: MarkovOperator, config: Config = DEFAULT) -> list[Functional]:
     """States spanning the fixed states of the dual map.
 
-    The fixed functionals at eigenvalue 1 are computed as the null space of
-    (dual - I); their Hermitian parts are again fixed, and the positive
-    Jordan parts of fixed Hermitian functionals are fixed for positive
-    unital maps, which turns a fixed-space basis into a spanning family of
-    invariant states. Returns exactly one state iff the fixed space is
-    one-dimensional.
+    The fixed functionals at eigenvalue 1 are the null space of
+    (dual - I) = K (M - I)^T K, read from the memoized SVD of M - I as
+    conj(U[:, s <= cut])[k] with the cut at ``tol_invariant_state``; their
+    Hermitian parts are again fixed, and the positive Jordan parts of fixed
+    Hermitian functionals are fixed for positive unital maps, which turns a
+    fixed-space basis into a spanning family of invariant states. Returns
+    exactly one state iff the fixed space is one-dimensional. Singular
+    values within a factor 10 of the cut raise NumericalDegeneracy.
     """
-    dm = dual(op).matrix
-    D = op.dim
-    null = _null_space(dm - np.eye(D), config.tol_invariant_state,
-                       config.ill_condition_limit)
+    from .spectral import _cut, _spectral_data
+    data = _spectral_data(op, config)
+    s = data.defect_s
+    cut = _cut(s, config.tol_invariant_state)
+    ambiguous = [x for x in s if cut / 10.0 < x < cut * 10.0]
+    if ambiguous:
+        raise NumericalDegeneracy(
+            f"singular values {ambiguous} straddle the rank cut {cut:.1e}")
+    null = np.conj(data.defect_u[:, s <= cut])[transpose_permutation(op.shape)]
     k = null.shape[1]
     if k == 0:
         raise NumericalDegeneracy("no fixed functional found for a unital map")
+    dm = dual(op).matrix
 
     # keep candidates that really are invariant states, pruned to an
     # independent set spanning the fixed Hermitian functionals; candidates

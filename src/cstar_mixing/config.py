@@ -15,9 +15,7 @@ from dataclasses import dataclass
 class Config:
     # construction gates
     tol_hermitian: float = 1e-10        # blockwise Hermiticity of functionals / T(h)
-    tol_psd: float = 1e-10              # eigenvalue floor for the state predicate
     tol_unital: float = 1e-10           # |T(1) - 1|
-    tol_kraus_action: float = 1e-12     # Kraus action vs stored matrix, on a basis
     tol_stochastic_row: float = 1e-12   # row sums of stochastic matrices
     tol_stochastic_entry: float = 1e-14 # entry negativity allowance
 
@@ -32,13 +30,11 @@ class Config:
     tol_rank: float = 1e-9              # relative SVD cutoff for ranks
     tol_spectral: float = 1e-8          # residual bound for spectral verdicts
     tol_invariant_state: float = 1e-8   # fixed-space cut of (dual - I); state invariance
-    ill_condition_limit: float = 1e10   # degeneracy guard on rank cuts
 
     # definition-based estimators
     estimator_n: int = 4096             # Cesàro horizon, 2**12
     estimator_pairs: int = 5            # random pairs / elements per estimator
     estimator_abs: float = 1e-3         # absolute smallness threshold (signed mean)
-    estimator_zero: float = 1e-6        # "already zero" threshold in dyadic tests
     dyadic_factor: float = 0.75         # decrease ratio between N/2 and N
     dyadic_window: int = 32             # trailing-max window at each checkpoint
     exact_power_n: int = 1024           # dual-power horizon, 2**10
@@ -59,7 +55,7 @@ class Config:
             f.name: getattr(self, f.name) * factor
             for f in dataclasses.fields(self)
             if f.name.startswith("tol_") or f.name in
-            ("estimator_abs", "estimator_zero", "exact_estimator_tol")
+            ("estimator_abs", "exact_estimator_tol")
         }
         return dataclasses.replace(self, **tight)
 

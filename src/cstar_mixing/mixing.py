@@ -277,9 +277,10 @@ def _correlation_running(sys: DynamicalSystem, rows: np.ndarray,
     return running, (series if keep_series else None)
 
 
-def _eq1_estimator(sys: DynamicalSystem, rng: np.random.Generator,
-                   cfg: Config) -> tuple[bool, dict]:
-    """Signed Cesàro means of phi(y T^k x) - phi(y) phi(x), random pairs."""
+def _correlation_probes(sys: DynamicalSystem, rng: np.random.Generator,
+                        cfg: Config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random pairs (x_j, y_j) as the arguments of ``_correlation_running``:
+    rows phi(y_j .), constants phi(y_j) phi(x_j), columns vec(x_j)."""
     xs = _random_probe_elements(sys, rng, cfg)
     ys = _random_probe_elements(sys, rng, cfg)
     phi = sys.state
@@ -288,6 +289,13 @@ def _eq1_estimator(sys: DynamicalSystem, rng: np.random.Generator,
         for y in ys])
     consts = np.array([phi(y) * phi(x) for y, x in zip(ys, xs)])
     x0 = np.column_stack([x.vec() for x in xs])
+    return rows, consts, x0
+
+
+def _eq1_estimator(sys: DynamicalSystem, rng: np.random.Generator,
+                   cfg: Config) -> tuple[bool, dict]:
+    """Signed Cesàro means of phi(y T^k x) - phi(y) phi(x), random pairs."""
+    rows, consts, x0 = _correlation_probes(sys, rng, cfg)
     n = cfg.estimator_n
     running, _ = _correlation_running(sys, rows, consts, x0, n)
     half, full = _window_maxes(running, n, cfg)
@@ -302,14 +310,7 @@ def _eq2_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     senses of the bounded-sequence lemma, per random pair."""
     from .sequences import BoundedSequence, check_kvn_equivalence
 
-    xs = _random_probe_elements(sys, rng, cfg)
-    ys = _random_probe_elements(sys, rng, cfg)
-    phi = sys.state
-    rows = np.stack([
-        Functional(sys.shape, [s @ b for s, b in zip(phi.blocks, y.blocks)]).row()
-        for y in ys])
-    consts = np.array([phi(y) * phi(x) for y, x in zip(ys, xs)])
-    x0 = np.column_stack([x.vec() for x in xs])
+    rows, consts, x0 = _correlation_probes(sys, rng, cfg)
     n = cfg.estimator_n
     _, series = _correlation_running(sys, rows, consts, x0, n, keep_series=True)
     verdicts, finals = [], []

@@ -24,41 +24,35 @@ from .config import DEFAULT, Config
 from .errors import DefectivePeripheral, EigensolverFailure
 
 
+def _cut(s: np.ndarray, rel_tol: float) -> float:
+    """Rank cut for descending singular values ``s``, relative to max(s_0, 1)."""
+    return rel_tol * max(float(s[0]) if s.size else 0.0, 1.0)
+
+
 def _rank(m: np.ndarray, rel_tol: float) -> int:
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > rel_tol * max(float(s[0]), 1.0)))
+    return int(np.sum(s > _cut(s, rel_tol)))
 
 
 def _cluster(eigs: np.ndarray, radius: float) -> list[tuple[complex, int]]:
-    """Chain-cluster eigenvalues: points within `radius` join a cluster."""
-    order = np.lexsort((eigs.imag, eigs.real))
-    pts = eigs[order]
-    groups: list[list[complex]] = []
-    for lam in pts:
-        placed = False
-        for g in groups:
-            if any(abs(lam - mu) <= radius for mu in g):
-                g.append(lam)
-                placed = True
-                break
-        if not placed:
-            groups.append([lam])
-    # chained groups may touch after the fact; merge until stable
-    merged = True
-    while merged:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if any(abs(a - b) <= radius for a in groups[i] for b in groups[j]):
-                    groups[i].extend(groups[j])
-                    del groups[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return [(complex(np.mean(g)), len(g)) for g in groups]
+    """Chain-cluster eigenvalues: the connected components of the graph
+    joining points within ``radius``, ordered by their lexsmallest point."""
+    pts = eigs[np.lexsort((eigs.imag, eigs.real))]
+    near = np.abs(pts[:, None] - pts[None, :]) <= radius
+    # every label is a point of the same component and never above its own
+    # index, so the labels fall to each component's smallest index
+    labels = np.arange(pts.size)
+    while True:
+        low = np.where(near, labels, pts.size).min(axis=1)
+        low = low[low]
+        if np.array_equal(low, labels):
+            break
+        labels = low
+    heads = np.flatnonzero(labels == np.arange(pts.size))
+    mult = np.bincount(labels)[heads]
+    centers = (np.bincount(labels, pts.real)[heads]
+               + 1j * np.bincount(labels, pts.imag)[heads]) / mult
+    return [(complex(c), int(k)) for c, k in zip(centers, mult)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,70 +68,113 @@ class SpectralSummary:
     cesaro_matrix: np.ndarray | None = field(repr=False, default=None)
 
 
-def spectrum(op: MarkovOperator, config: Config = DEFAULT) -> SpectralSummary:
-    """Eigenvalues, peripheral part, fixed space, and the Cesàro projector.
+@dataclass(frozen=True, eq=False)
+class _SpectralData:
+    """All the spectral layer knows of one matrix M under one ``Config``.
 
-    fixed_space_dim is D - rank(M - I), i.e. the geometric multiplicity at
-    eigenvalue 1; defectiveness compares geometric and algebraic (clustered)
-    multiplicities on every peripheral cluster. The Cesàro projector is
-    attached whenever no peripheral cluster is defective.
-
-    The summary is computed once per operator and ``Config`` and memoized
-    on the (frozen) operator; repeated calls return the same object, and its
-    ``cesaro_matrix`` is read-only.
+    Built from one complex Schur form with the eigenvalue-1 cluster sorted to
+    the front and one SVD M - I = U diag(s) V*; every array is read-only.
     """
-    summary = op._spectrum_memo.get(config)
-    if summary is None:
-        summary = op._spectrum_memo.setdefault(config,
-                                               _compute_spectrum(op, config))
-    return summary
+
+    summary: SpectralSummary
+    one_count: int                  # Schur eigenvalues within tol_cluster of 1
+    projector: np.ndarray | None    # Cesàro projector; None: Jordan block at 1
+    defect_u: np.ndarray            # U of the SVD of M - I
+    defect_s: np.ndarray            # s, descending
+
+    def cesaro(self) -> np.ndarray:
+        """The Cesàro projector, or DefectivePeripheral for a Jordan block at 1."""
+        if self.projector is None:
+            raise DefectivePeripheral(
+                f"eigenvalue-1 cluster has geometric multiplicity "
+                f"{self.summary.fixed_space_dim} < {self.one_count}")
+        return self.projector
 
 
-def _compute_spectrum(op: MarkovOperator, config: Config) -> SpectralSummary:
-    m = op.matrix
-    D = op.dim
-    try:
-        eigs = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK hiccup
-        raise EigensolverFailure(f"eigvals failed: {exc}") from exc
-    clusters = _cluster(eigs, config.tol_cluster)
+def _spectral_data(op: MarkovOperator, config: Config) -> _SpectralData:
+    """The spectral data of ``op.matrix``, memoized on the (frozen) operator
+    per ``Config``."""
+    data = op._spectral_memo.get(config)
+    if data is None:
+        data = op._spectral_memo.setdefault(config,
+                                            _analyse(op.matrix, config))
+    return data
+
+
+def _analyse(m: np.ndarray, config: Config) -> _SpectralData:
+    D = m.shape[0]
+    tol = config.tol_cluster
     eye = np.eye(D)
-    fixed = D - _rank(m - eye, config.tol_rank)
+    try:
+        t, z, sdim = scipy.linalg.schur(
+            m, output="complex", sort=lambda lam: abs(lam - 1.0) <= tol)
+        u, s, _ = np.linalg.svd(m - eye)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise EigensolverFailure(f"Schur form or SVD failed: {exc}") from exc
+    eigs = np.diag(t).copy()
+    k = int(sdim)
+    fixed = D - int(np.sum(s > _cut(s, config.tol_rank)))
+    clusters = _cluster(eigs, tol)
     peripheral = tuple(c for c, _ in clusters
                        if abs(c) >= 1.0 - config.tol_peripheral)
-    defective = False
-    for center, mult in clusters:
-        if abs(center) < 1.0 - config.tol_peripheral or mult == 1:
-            continue
-        geo = D - _rank(m - center * eye, config.tol_rank)
-        if geo < mult:
-            defective = True
-            break
-    # simple peripheral eigenvalues cannot be defective; multiplicity-1
-    # clusters are skipped above, but the 1-cluster still needs the
-    # geometric count to agree with the rank-based fixed dimension
-    cesaro = None if defective else _cesaro_projector(op, config)
-    return SpectralSummary(
+    # the 1-cluster is defective iff its geometric multiplicity, read from
+    # the SVD of M - I, falls short of its Schur count; every other
+    # peripheral cluster of multiplicity > 1 needs a rank of its own
+    projector = None if fixed < k else _projector_from_schur(t, z, k)
+    defective = projector is None or any(
+        D - _rank(m - center * eye, config.tol_rank) < mult
+        for center, mult in clusters
+        if mult > 1 and abs(center) >= 1.0 - config.tol_peripheral
+        and abs(center - 1.0) > tol)
+    for a in (projector, u, s):
+        if a is not None:
+            a.setflags(write=False)
+    summary = SpectralSummary(
         eigenvalues=tuple(complex(x) for x in eigs),
         clusters=tuple(clusters),
         peripheral=peripheral,
         fixed_space_dim=int(fixed),
         defective_peripheral=defective,
         spectral_radius=float(np.max(np.abs(eigs))),
-        cesaro_matrix=cesaro,
+        cesaro_matrix=None if defective else projector,
     )
+    return _SpectralData(summary, k, projector, u, s)
 
 
-def _cesaro_projector(op: MarkovOperator, config: Config) -> np.ndarray:
-    """``_cesaro_from_matrix(op.matrix)``, memoized on the operator per
-    ``Config`` and read-only. Kept apart from the spectrum memo so that
-    building an invariant state costs no eigenvalue or cluster work."""
-    proj = op._cesaro_memo.get(config)
-    if proj is None:
-        proj = _cesaro_from_matrix(op.matrix, config)
-        proj.setflags(write=False)
-        proj = op._cesaro_memo.setdefault(config, proj)
-    return proj
+def _projector_from_schur(t: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
+    """Spectral projector onto the first k Schur eigenvalues along the rest.
+
+    u11 and u22 are already upper triangular: solve u11 R - R u22 = u12 with
+    LAPACK's triangular Sylvester solver, no further Schur step.
+    """
+    D = t.shape[0]
+    if k == 0:
+        return np.zeros((D, D), dtype=complex)
+    if k == D:
+        return np.eye(D, dtype=complex)
+    r, scale, info = scipy.linalg.lapack.ztrsyl(
+        t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+    if info < 0:
+        raise EigensolverFailure(
+            f"triangular Sylvester solve rejected argument {-info}")
+    w = np.zeros((D, D), dtype=complex)
+    w[:k, :k] = np.eye(k)
+    w[:k, k:] = r / scale
+    return z @ w @ z.conj().T
+
+
+def spectrum(op: MarkovOperator, config: Config = DEFAULT) -> SpectralSummary:
+    """Eigenvalues, peripheral part, fixed space, and the Cesàro projector.
+
+    Reads the ``summary`` of the operator's memoized spectral data (one per
+    operator and ``Config``, so repeated calls return the same object):
+    eigenvalues from the diagonal of the sorted Schur form, fixed_space_dim
+    as D - rank(M - I) from the one SVD of M - I. Defectiveness compares
+    geometric and algebraic (clustered) multiplicities on every peripheral
+    cluster; the Cesàro projector, read-only, is attached whenever no
+    peripheral cluster is defective.
+    """
+    return _spectral_data(op, config).summary
 
 
 def _cesaro_from_matrix(m: np.ndarray, config: Config) -> np.ndarray:
@@ -148,34 +185,7 @@ def _cesaro_from_matrix(m: np.ndarray, config: Config) -> np.ndarray:
     DefectivePeripheral when the 1-cluster carries a nontrivial Jordan
     structure.
     """
-    D = m.shape[0]
-    tol = config.tol_cluster
-    try:
-        t, z, sdim = scipy.linalg.schur(
-            m, output="complex", sort=lambda lam: abs(lam - 1.0) <= tol)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolverFailure(f"Schur decomposition failed: {exc}") from exc
-    k = int(sdim)
-    if k == 0:
-        return np.zeros_like(m)
-    center = complex(np.mean(np.diag(t)[:k]))
-    geo = D - _rank(m - center * np.eye(D), config.tol_rank)
-    if geo < k:
-        raise DefectivePeripheral(
-            f"eigenvalue-1 cluster has geometric multiplicity {geo} < {k}")
-    if k == D:
-        return np.eye(D, dtype=complex)
-    # u11 and u22 are already upper triangular: solve u11 R - R u22 = u12
-    # with LAPACK's triangular Sylvester solver, no further Schur step
-    r, scale, info = scipy.linalg.lapack.ztrsyl(
-        t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
-    if info < 0:
-        raise EigensolverFailure(
-            f"triangular Sylvester solve rejected argument {-info}")
-    w = np.zeros((D, D), dtype=complex)
-    w[:k, :k] = np.eye(k)
-    w[:k, k:] = r / scale
-    return z @ w @ z.conj().T
+    return _analyse(m, config).cesaro()
 
 
 def cesaro_projector_spectral(op: MarkovOperator,
@@ -290,12 +300,10 @@ def power_limit(op: MarkovOperator, config: Config = DEFAULT) -> PowerLimit:
 def range_of_defect(op: MarkovOperator, config: Config = DEFAULT) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of T - id.
 
-    Its width is D minus the fixed-space dimension; strict ergodicity shows
-    up as width exactly D - 1.
+    The left singular vectors U[:, s > cut] of the memoized SVD of M - I,
+    cut at ``tol_rank``. Its width is D minus the fixed-space dimension;
+    strict ergodicity shows up as width exactly D - 1.
     """
-    m = op.matrix - np.eye(op.dim)
-    u, s, _ = np.linalg.svd(m)
-    if s.size == 0:
-        return u[:, :0]
-    keep = s > config.tol_rank * max(float(s[0]), 1.0)
-    return u[:, keep]
+    data = _spectral_data(op, config)
+    s = data.defect_s
+    return data.defect_u[:, s > _cut(s, config.tol_rank)]

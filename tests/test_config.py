@@ -1,0 +1,15 @@
+import dataclasses
+import pathlib
+
+from cstar_mixing.config import Config
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cstar_mixing"
+
+
+def test_every_config_field_is_read():
+    # a knob that no module reads is dead weight in every report and file
+    text = "\n".join(p.read_text() for p in sorted(SRC.glob("*.py"))
+                     if p.name != "config.py")
+    unread = [f.name for f in dataclasses.fields(Config)
+              if f".{f.name}" not in text]
+    assert unread == []

@@ -219,6 +219,31 @@ def test_classify_builds_the_tensor_square_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_classify_factors_each_operator_once(monkeypatch):
+    # one sorted Schur form and one SVD of M - I per operator (T and its
+    # tensor square); the other SVDs rank the 11 peripheral clusters of the
+    # tensor square that do not sit at 1
+    import scipy.linalg
+    system = example2(12, 5)[0]
+    counts = {"eigvals": 0, "schur": 0, "svd": 0}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(np.linalg, "eigvals")
+    counting(np.linalg, "svd")
+    counting(scipy.linalg, "schur")
+    classify(system)
+    assert counts["eigvals"] == 0
+    assert counts["schur"] <= 2
+    assert counts["svd"] <= 13
+
+
 def test_cesaro_norm_estimator_matches_running_means():
     # reference: the running mean formed step by step, then block norms
     from cstar_mixing.mixing import (_block_norms, _cesaro_norm_estimator,

@@ -138,9 +138,10 @@ def test_matrix_to_json_uses_pairs_only_when_needed():
 
 def test_config_field_validation():
     base = system_to_dict(chain_system())
-    doc = dict(base, config={"tol_spectrall": 1e-9})
-    with pytest.raises(ParseError, match="unknown fields.*valid:"):
-        system_from_dict(doc)
+    for unknown in ({"tol_spectrall": 1e-9}, {"tol_psd": 1e-10}):
+        doc = dict(base, config=unknown)
+        with pytest.raises(ParseError, match="unknown fields.*valid:"):
+            system_from_dict(doc)
     doc = dict(base, config={"estimator_n": 2048.5})
     with pytest.raises(ParseError, match="expected an integer"):
         system_from_dict(doc)

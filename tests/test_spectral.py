@@ -1,22 +1,29 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from cstar_mixing import (
     AlgebraShape,
     DefectivePeripheral,
     cesaro_projector_iterative,
     cesaro_projector_spectral,
+    dual,
     from_stochastic,
     from_superoperator,
+    functional_norm,
     identity_channel,
+    invariant_states,
     power_limit,
     random_unital_cp,
     range_of_defect,
     spectrum,
+    tensor,
 )
 from cstar_mixing.config import DEFAULT
-from cstar_mixing.spectral import _cesaro_from_matrix
+from cstar_mixing.mixing import _corner_unital_cp
+from cstar_mixing.models import example2
+from cstar_mixing.spectral import _cesaro_from_matrix, _cluster
 
 
 def shift4():
@@ -190,6 +197,94 @@ def test_near_degenerate_eigenvalues_cluster():
     mults = sorted(k for _, k in s.clusters)
     assert mults == [1, 2]
     assert not s.defective_peripheral
+
+
+def _cluster_reference(eigs, radius):
+    """Greedy chain clustering with merges until stable."""
+    pts = eigs[np.lexsort((eigs.imag, eigs.real))]
+    groups = []
+    for lam in pts:
+        for g in groups:
+            if any(abs(lam - mu) <= radius for mu in g):
+                g.append(lam)
+                break
+        else:
+            groups.append([lam])
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if any(abs(a - b) <= radius for a in groups[i] for b in groups[j]):
+                    groups[i].extend(groups.pop(j))
+                    merged = True
+                    break
+            if merged:
+                break
+    return [(complex(np.mean(g)), len(g)) for g in groups]
+
+
+def _tensor_square_eigs(blocks, kraus, seed):
+    op = random_unital_cp(AlgebraShape(blocks), kraus, seed=seed)
+    return np.linalg.eigvals(tensor(op, op).matrix)
+
+
+@pytest.mark.parametrize("eigs", [
+    _tensor_square_eigs([3], 1, 0),
+    _tensor_square_eigs([4], 3, 1),
+    _tensor_square_eigs([2, 3], 2, 2),
+    np.linalg.eigvals(tensor(*[example2(12, 5)[0].operator] * 2).matrix),
+])
+def test_cluster_matches_greedy_merge_reference(eigs):
+    radius = DEFAULT.tol_cluster
+    got = _cluster(eigs, radius)
+    ref = _cluster_reference(eigs, radius)
+    assert [k for _, k in got] == [k for _, k in ref]
+    assert max(abs(a - b) for (a, _), (b, _) in zip(got, ref)) <= 1e-14
+
+
+def test_cluster_joins_chains():
+    radius = DEFAULT.tol_cluster
+    # neighbours 0.6 radius apart, ends 1.2 radius apart: one cluster
+    chain = np.array([0.5, 0.5 + 0.6 * radius, 0.5 + 1.2 * radius, 1.0])
+    assert [k for _, k in _cluster(chain.astype(complex), radius)] == [3, 1]
+    pair = np.array([0.5, 0.5 + 1.2 * radius])
+    assert [k for _, k in _cluster(pair.astype(complex), radius)] == [1, 1]
+
+
+def _oracle_operators():
+    for blocks in ([2], [3], [1, 1, 2], [2, 3]):
+        for kraus in (1, 2, 3, 4):
+            yield random_unital_cp(AlgebraShape(blocks), kraus,
+                                   seed=60 + kraus + len(blocks))
+    yield identity_channel(AlgebraShape([2]))
+    yield identity_channel(AlgebraShape([1, 1, 2]))
+    for kraus in (1, 2, 3):
+        yield _corner_unital_cp(AlgebraShape([3]), kraus, 70 + kraus, DEFAULT)
+
+
+@pytest.mark.parametrize("op", list(_oracle_operators()))
+def test_shared_svd_reads_match_direct_factorizations(op):
+    eye = np.eye(op.dim)
+    # range_of_defect spans the column space of M - I
+    basis = range_of_defect(op)
+    ref = scipy.linalg.orth(op.matrix - eye, rcond=DEFAULT.tol_rank)
+    assert basis.shape == ref.shape
+    assert np.max(np.abs(basis @ basis.conj().T - ref @ ref.conj().T)) <= 1e-10
+    # one invariant state per dimension of the dual's fixed space
+    null = scipy.linalg.null_space(dual(op).matrix - eye,
+                                   rcond=DEFAULT.tol_invariant_state)
+    states = invariant_states(op)
+    assert len(states) == null.shape[1]
+    for psi in states:
+        assert psi.is_state(tol=1e-8)
+        assert functional_norm(dual(op)(psi) - psi) <= 1e-8
+    # Schur-diagonal eigenvalues against a plain eigensolve, as multisets
+    got = np.array(spectrum(op).eigenvalues)
+    want = np.linalg.eigvals(op.matrix)
+    dist = np.abs(got[:, None] - want[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(dist)
+    assert np.max(dist[rows, cols]) <= 1e-10
 
 
 def test_spectrum_is_memoized_per_operator_and_config():
