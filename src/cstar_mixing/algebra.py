@@ -106,10 +106,6 @@ class AlgebraShape:
         return "(" + ",".join(str(n) for n in self.blocks) + ")"
 
 
-def tensor_shapes(a: AlgebraShape, b: AlgebraShape) -> AlgebraShape:
-    return a.tensor(b)
-
-
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------

@@ -57,6 +57,10 @@ class MarkovOperator:
     positivity_claim: str = "declared"
     kraus: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
     stochastic: np.ndarray | None = field(default=None, repr=False)
+    # (S, R) for S (x) R made by `tensor`, whose spectral data and orbit
+    # steps then run on the factors; never serialized
+    factors: tuple[MarkovOperator, MarkovOperator] | None = field(
+        default=None, repr=False, compare=False)
     # per-Config memo of spectral._spectral_data; valid because the matrix
     # is frozen
     _spectral_memo: dict = field(default_factory=dict, init=False,
@@ -425,7 +429,14 @@ def power(op: MarkovOperator, n: int) -> MarkovOperator:
 
 
 def tensor(op: MarkovOperator, other: MarkovOperator) -> MarkovOperator:
-    """Tensor-product channel on the tensor algebra; requires verified CP."""
+    """Tensor-product channel on the tensor algebra; requires verified CP.
+
+    The result keeps ``op`` and ``other`` as its ``factors``: the
+    estimators step its orbits as X -> A X B^T on the factor matrices, and
+    unless a factor is itself such a product, its spectral data is built
+    from theirs (only the SVD of M - I runs on the product's matrix). The
+    dense matrix is still formed.
+    """
     if not (op.is_cp_verified() and other.is_cp_verified()):
         raise RequiresCP("tensor products are formed for verified CP operators only")
     shape = op.shape.tensor(other.shape)
@@ -434,7 +445,8 @@ def tensor(op: MarkovOperator, other: MarkovOperator) -> MarkovOperator:
     m = big[np.ix_(perm, perm)]     # conjugate by the vec-ordering permutation
     m = np.ascontiguousarray(m)
     m.setflags(write=False)
-    return MarkovOperator(shape, m, "explicit", "verified_cp")
+    return MarkovOperator(shape, m, "explicit", "verified_cp",
+                          factors=(op, other))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Spectral analysis of superoperators.
 
-Everything here works on the dense D x D matrix of a channel: spectrum with
-clustered multiplicities, peripheral part, fixed-space dimension, Cesàro
-projectors (exact spectral form and iterated running means), power limits,
-and defectiveness detection.
+Spectrum with clustered multiplicities, peripheral part, fixed-space
+dimension, Cesàro projectors (exact spectral form and iterated running
+means), power limits, and defectiveness detection. An operator's spectral
+data comes from one sorted complex Schur form and one SVD of M - I of its
+dense D x D matrix, except for a tensor product S (x) R built by
+``channel.tensor``: its eigenvalues, clusters, Cesàro projector and defect
+flag come from the factors' own data (the peripheral spectrum of a
+power-bounded map is diagonalizable, so the Cesàro projector of S (x) R is
+the sum of P_a (x) P_b over factor clusters a, b with ab = 1), and only the
+SVD of M - I runs on the product's own matrix.
 
 A peripheral Jordan block is a hard error throughout. Positive unital maps
 are power-bounded, so a defective peripheral cluster proves the input is not
@@ -19,6 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
+from .algebra import tensor_permutation
 from .channel import MarkovOperator
 from .config import DEFAULT, Config
 from .errors import DefectivePeripheral, EigensolverFailure
@@ -34,10 +41,16 @@ def _rank(m: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(s > _cut(s, rel_tol)))
 
 
-def _cluster(eigs: np.ndarray, radius: float) -> list[tuple[complex, int]]:
+def _cluster_labels(eigs: np.ndarray, radius: float
+                    ) -> tuple[np.ndarray, list[tuple[complex, int]]]:
     """Chain-cluster eigenvalues: the connected components of the graph
-    joining points within ``radius``, ordered by their lexsmallest point."""
-    pts = eigs[np.lexsort((eigs.imag, eigs.real))]
+    joining points within ``radius``, ordered by their lexsmallest point.
+
+    Returns the cluster index of every input point and the clusters as
+    (center, multiplicity) pairs, the center being the mean.
+    """
+    order = np.lexsort((eigs.imag, eigs.real))
+    pts = eigs[order]
     near = np.abs(pts[:, None] - pts[None, :]) <= radius
     # every label is a point of the same component and never above its own
     # index, so the labels fall to each component's smallest index
@@ -49,10 +62,18 @@ def _cluster(eigs: np.ndarray, radius: float) -> list[tuple[complex, int]]:
             break
         labels = low
     heads = np.flatnonzero(labels == np.arange(pts.size))
-    mult = np.bincount(labels)[heads]
-    centers = (np.bincount(labels, pts.real)[heads]
-               + 1j * np.bincount(labels, pts.imag)[heads]) / mult
-    return [(complex(c), int(k)) for c, k in zip(centers, mult)]
+    index = np.searchsorted(heads, labels)
+    mult = np.bincount(index)
+    centers = (np.bincount(index, pts.real)
+               + 1j * np.bincount(index, pts.imag)) / mult
+    out = np.empty(pts.size, dtype=np.intp)
+    out[order] = index
+    return out, [(complex(c), int(k)) for c, k in zip(centers, mult)]
+
+
+def _cluster(eigs: np.ndarray, radius: float) -> list[tuple[complex, int]]:
+    """Chain clusters of ``eigs`` as (center, multiplicity) pairs."""
+    return _cluster_labels(eigs, radius)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,15 +93,24 @@ class SpectralSummary:
 class _SpectralData:
     """All the spectral layer knows of one matrix M under one ``Config``.
 
-    Built from one complex Schur form with the eigenvalue-1 cluster sorted to
-    the front and one SVD M - I = U diag(s) V*; every array is read-only.
+    Every array is read-only. M - I = U diag(s) V* is always one SVD of M
+    itself. The rest comes from one complex Schur form of M with the
+    eigenvalue-1 cluster sorted to the front (``schur``, with the index of
+    each diagonal entry's cluster in ``labels``), or, for a product S (x) R
+    made by ``channel.tensor``, from the data of S and R (``schur`` and
+    ``labels`` are then None).
     """
 
     summary: SpectralSummary
-    one_count: int                  # Schur eigenvalues within tol_cluster of 1
+    one_count: int                  # eigenvalues counted into the 1-cluster
     projector: np.ndarray | None    # Cesàro projector; None: Jordan block at 1
     defect_u: np.ndarray            # U of the SVD of M - I
     defect_s: np.ndarray            # s, descending
+    schur: tuple[np.ndarray, np.ndarray] | None = field(default=None,
+                                                        repr=False)
+    labels: np.ndarray | None = field(default=None, repr=False)
+    # cluster index -> spectral projector, filled by cluster_projector
+    _cluster_projectors: dict = field(default_factory=dict, repr=False)
 
     def cesaro(self) -> np.ndarray:
         """The Cesàro projector, or DefectivePeripheral for a Jordan block at 1."""
@@ -90,54 +120,127 @@ class _SpectralData:
                 f"{self.summary.fixed_space_dim} < {self.one_count}")
         return self.projector
 
+    def cluster_projector(self, i: int) -> np.ndarray:
+        """Spectral projector onto ``summary.clusters[i]``, computed on first
+        request: LAPACK's ``ztrsen`` moves the cluster to the front of the
+        Schur form, then the ``ztrsyl`` solve of ``_projector_from_schur``."""
+        p = self._cluster_projectors.get(i)
+        if p is None:
+            t, z = self.schur
+            select = (self.labels == i).astype(np.int32)
+            ts, zs, _, k, _, _, info = scipy.linalg.lapack.ztrsen(
+                select, t, z, job="N")
+            if info < 0:
+                raise EigensolverFailure(
+                    f"Schur reordering rejected argument {-info}")
+            p = _projector_from_schur(ts, zs, int(k))
+            p.setflags(write=False)
+            p = self._cluster_projectors.setdefault(i, p)
+        return p
+
 
 def _spectral_data(op: MarkovOperator, config: Config) -> _SpectralData:
     """The spectral data of ``op.matrix``, memoized on the (frozen) operator
-    per ``Config``."""
+    per ``Config``. A product of two unfactored operators is analysed
+    through its factors."""
     data = op._spectral_memo.get(config)
     if data is None:
-        data = op._spectral_memo.setdefault(config,
-                                            _analyse(op.matrix, config))
+        if op.factors is not None and all(f.factors is None
+                                          for f in op.factors):
+            data = _analyse_product(op, config)
+        else:
+            data = _analyse(op.matrix, config)
+        data = op._spectral_memo.setdefault(config, data)
     return data
 
 
-def _analyse(m: np.ndarray, config: Config) -> _SpectralData:
-    D = m.shape[0]
-    tol = config.tol_cluster
-    eye = np.eye(D)
+def _defect_svd(m: np.ndarray, config: Config
+                ) -> tuple[np.ndarray, np.ndarray, int]:
+    """U, s of the SVD of M - I (read-only) and D - rank(M - I)."""
     try:
-        t, z, sdim = scipy.linalg.schur(
-            m, output="complex", sort=lambda lam: abs(lam - 1.0) <= tol)
-        u, s, _ = np.linalg.svd(m - eye)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise EigensolverFailure(f"Schur form or SVD failed: {exc}") from exc
-    eigs = np.diag(t).copy()
-    k = int(sdim)
-    fixed = D - int(np.sum(s > _cut(s, config.tol_rank)))
-    clusters = _cluster(eigs, tol)
-    peripheral = tuple(c for c, _ in clusters
-                       if abs(c) >= 1.0 - config.tol_peripheral)
-    # the 1-cluster is defective iff its geometric multiplicity, read from
-    # the SVD of M - I, falls short of its Schur count; every other
-    # peripheral cluster of multiplicity > 1 needs a rank of its own
-    projector = None if fixed < k else _projector_from_schur(t, z, k)
-    defective = projector is None or any(
-        D - _rank(m - center * eye, config.tol_rank) < mult
-        for center, mult in clusters
-        if mult > 1 and abs(center) >= 1.0 - config.tol_peripheral
-        and abs(center - 1.0) > tol)
-    for a in (projector, u, s):
-        if a is not None:
-            a.setflags(write=False)
-    summary = SpectralSummary(
+        u, s, _ = np.linalg.svd(m - np.eye(m.shape[0]))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"SVD of M - I failed: {exc}") from exc
+    u.setflags(write=False)
+    s.setflags(write=False)
+    return u, s, m.shape[0] - int(np.sum(s > _cut(s, config.tol_rank)))
+
+
+def _summary(eigs: np.ndarray, clusters: list, fixed: int, defective: bool,
+             projector: np.ndarray | None, config: Config) -> SpectralSummary:
+    return SpectralSummary(
         eigenvalues=tuple(complex(x) for x in eigs),
         clusters=tuple(clusters),
-        peripheral=peripheral,
+        peripheral=tuple(c for c, _ in clusters
+                         if abs(c) >= 1.0 - config.tol_peripheral),
         fixed_space_dim=int(fixed),
         defective_peripheral=defective,
         spectral_radius=float(np.max(np.abs(eigs))),
         cesaro_matrix=None if defective else projector,
     )
+
+
+def _analyse(m: np.ndarray, config: Config) -> _SpectralData:
+    D = m.shape[0]
+    tol = config.tol_cluster
+    try:
+        t, z, sdim = scipy.linalg.schur(
+            m, output="complex", sort=lambda lam: abs(lam - 1.0) <= tol)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise EigensolverFailure(f"Schur form failed: {exc}") from exc
+    u, s, fixed = _defect_svd(m, config)
+    eigs = np.diag(t).copy()
+    k = int(sdim)
+    labels, clusters = _cluster_labels(eigs, tol)
+    # the 1-cluster is defective iff its geometric multiplicity, read from
+    # the SVD of M - I, falls short of its Schur count; every other
+    # peripheral cluster of multiplicity > 1 needs a rank of its own
+    projector = None if fixed < k else _projector_from_schur(t, z, k)
+    eye = np.eye(D)
+    defective = projector is None or any(
+        D - _rank(m - center * eye, config.tol_rank) < mult
+        for center, mult in clusters
+        if mult > 1 and abs(center) >= 1.0 - config.tol_peripheral
+        and abs(center - 1.0) > tol)
+    for a in (projector, t, z, labels):
+        if a is not None:
+            a.setflags(write=False)
+    summary = _summary(eigs, clusters, fixed, defective, projector, config)
+    return _SpectralData(summary, k, projector, u, s, (t, z), labels)
+
+
+def _analyse_product(op: MarkovOperator, config: Config) -> _SpectralData:
+    """Spectral data of S (x) R from the memoized data of S and R.
+
+    The eigenvalues are the products ab; S and R are power-bounded, so their
+    peripheral clusters carry no Jordan blocks, and the Cesàro projector is
+    the sum of P_a (x) P_b over the factor clusters with |ab - 1| <=
+    tol_cluster, conjugated by ``tensor_permutation``. The product is
+    defective when a factor is, or when the SVD of its own M - I leaves
+    fewer fixed directions than that sum counts.
+    """
+    left, right = op.factors
+    a, b = _spectral_data(left, config), _spectral_data(right, config)
+    u, s, fixed = _defect_svd(op.matrix, config)
+    eigs = np.multiply.outer(np.array(a.summary.eigenvalues),
+                             np.array(b.summary.eigenvalues)).ravel()
+    clusters = _cluster(eigs, config.tol_cluster)
+    ca, ma = (np.array(x) for x in zip(*a.summary.clusters))
+    cb, mb = (np.array(x) for x in zip(*b.summary.clusters))
+    pairs = np.argwhere(np.abs(np.multiply.outer(ca, cb) - 1.0)
+                        <= config.tol_cluster)
+    k = int(sum(ma[i] * mb[j] for i, j in pairs))
+    defective = (a.summary.defective_peripheral
+                 or b.summary.defective_peripheral or fixed < k)
+    projector = None
+    if not defective:
+        kron = np.zeros(op.matrix.shape, dtype=complex)
+        for i, j in pairs:
+            kron += np.kron(a.cluster_projector(i), b.cluster_projector(j))
+        perm = tensor_permutation(left.shape, right.shape)
+        projector = np.ascontiguousarray(kron[np.ix_(perm, perm)])
+        projector.setflags(write=False)
+    summary = _summary(eigs, clusters, fixed, defective, projector, config)
     return _SpectralData(summary, k, projector, u, s)
 
 
@@ -168,11 +271,12 @@ def spectrum(op: MarkovOperator, config: Config = DEFAULT) -> SpectralSummary:
 
     Reads the ``summary`` of the operator's memoized spectral data (one per
     operator and ``Config``, so repeated calls return the same object):
-    eigenvalues from the diagonal of the sorted Schur form, fixed_space_dim
-    as D - rank(M - I) from the one SVD of M - I. Defectiveness compares
-    geometric and algebraic (clustered) multiplicities on every peripheral
-    cluster; the Cesàro projector, read-only, is attached whenever no
-    peripheral cluster is defective.
+    eigenvalues from the diagonal of the sorted Schur form (for a product
+    made by ``tensor``, the products of its factors' eigenvalues),
+    fixed_space_dim as D - rank(M - I) from the one SVD of M - I.
+    Defectiveness compares geometric and algebraic (clustered)
+    multiplicities on every peripheral cluster; the Cesàro projector,
+    read-only, is attached whenever no peripheral cluster is defective.
     """
     return _spectral_data(op, config).summary
 

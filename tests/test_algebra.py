@@ -18,7 +18,6 @@ from cstar_mixing.algebra import (
     random_state,
     tensor_elements,
     tensor_functionals,
-    tensor_shapes,
 )
 from cstar_mixing.errors import NotHermitian, ShapeMismatch
 
@@ -166,7 +165,7 @@ def test_product_pairing_matrix():
 def test_tensor_pairing_is_multiplicative():
     rng = np.random.default_rng(5)
     s1, s2 = AlgebraShape([2]), M12
-    assert tensor_shapes(s1, s2).blocks == (2, 4)
+    assert s1.tensor(s2).blocks == (2, 4)
     f, g = random_functional(s1, rng), random_functional(s2, rng)
     x, y = random_element(s1, rng), random_element(s2, rng)
     fg = tensor_functionals(f, g)

@@ -220,9 +220,9 @@ def test_classify_builds_the_tensor_square_once(monkeypatch):
 
 
 def test_classify_factors_each_operator_once(monkeypatch):
-    # one sorted Schur form and one SVD of M - I per operator (T and its
-    # tensor square); the other SVDs rank the 11 peripheral clusters of the
-    # tensor square that do not sit at 1
+    # one sorted Schur form (of T) and one SVD of M - I per operator (T and
+    # its tensor square); the tensor square's clusters and projector come
+    # from T's Schur form, so none of its clusters needs a rank SVD
     import scipy.linalg
     system = example2(12, 5)[0]
     counts = {"eigvals": 0, "schur": 0, "svd": 0}
