@@ -5,7 +5,8 @@ modeled as blocks of size 1. Conventions fixed here and relied on everywhere
 else:
 
 - Vectorization is column stacking per block, blocks concatenated in order.
-  The total vector dimension is D = sum of n_i**2.
+  The total vector dimension is D = sum of n_i**2. Elements and
+  functionals are stored as this vector.
 - Functionals pair bilinearly, psi(x) = sum_i tr(sigma_i x_i), with no
   conjugation. A functional is Hermitian exactly when its matrices are,
   and its dual-pairing row vector is concat(vec(sigma_i^T)).
@@ -14,6 +15,7 @@ else:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -21,48 +23,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NotHermitian, ShapeMismatch
-
-
-def _frozen_blocks(shape: AlgebraShape,
-                   blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Complex, read-only blocks, checked against the shape's block sides."""
-    if len(blocks) != len(shape.blocks):
-        raise ShapeMismatch(
-            f"expected {len(shape.blocks)} blocks, got {len(blocks)}")
-    frozen = []
-    for n, blk in zip(shape.blocks, blocks):
-        blk = np.asarray(blk, dtype=complex)
-        if blk.shape != (n, n):
-            raise ShapeMismatch(f"block of side {n} has shape {blk.shape}")
-        blk.setflags(write=False)
-        frozen.append(blk)
-    return tuple(frozen)
-
-
-def _size_classes(blocks: Sequence[np.ndarray]
-                  ) -> list[tuple[int, list[int], np.ndarray]]:
-    """Blocks grouped by side: (n, block indices, stacked (k, n, n) array).
-
-    Lets the blockwise routines below make one batched LAPACK call (or, for
-    n = 1, one elementwise operation) per block side instead of one per block.
-    """
-    groups: dict[int, list[int]] = {}
-    for i, b in enumerate(blocks):
-        groups.setdefault(b.shape[0], []).append(i)
-    return [(n, idx, np.stack([blocks[i] for i in idx]))
-            for n, idx in groups.items()]
-
-
-def _adjoints(stack: np.ndarray) -> np.ndarray:
-    return stack.conj().transpose(0, 2, 1)
-
-
-def _hermitian_defects(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """max |b - b*| entrywise, per block, in block order."""
-    out = np.empty(len(blocks))
-    for _, idx, stack in _size_classes(blocks):
-        out[idx] = np.max(np.abs(stack - _adjoints(stack)), axis=(1, 2))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -107,57 +67,200 @@ class AlgebraShape:
 
 
 # ---------------------------------------------------------------------------
-# elements
+# blockwise index maps and norms
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _side_classes(shape: AlgebraShape) -> tuple[tuple[int, np.ndarray], ...]:
+    """The blocks grouped by side: (n, idx) per side n, with idx[j, a, b] the
+    vec position of entry (a, b) of the j-th block of that side, so that
+    ``v[..., idx]`` stacks those blocks as (..., k, n, n).
+
+    Lets the blockwise routines below make one batched LAPACK call (or, for
+    n = 1, one elementwise operation) per block side instead of one per
+    block. Memoized per shape; the index arrays are read-only.
+    """
+    offsets: dict[int, list[int]] = {}
+    for n, pos in zip(shape.blocks, shape.offsets):
+        offsets.setdefault(n, []).append(pos)
+    classes = []
+    for n, offs in offsets.items():
+        idx = (np.array(offs)[:, None, None]
+               + np.arange(n * n).reshape((n, n), order="F"))
+        idx.setflags(write=False)
+        classes.append((n, idx))
+    return tuple(classes)
+
+
+def _adjoints(stack: np.ndarray) -> np.ndarray:
+    return stack.conj().swapaxes(-1, -2)
+
+
+def transpose_permutation(shape: AlgebraShape) -> np.ndarray:
+    """Index array k with vec(x^T) = x.vec()[k]; an involution."""
+    perm = np.empty(shape.dim, dtype=np.intp)
+    for _, idx in _side_classes(shape):
+        perm[idx] = idx.transpose(0, 2, 1)
+    return perm
+
+
+def _fold_singular_values(shape: AlgebraShape, stacked: np.ndarray,
+                          ufunc: np.ufunc) -> np.ndarray:
+    """The singular values of all blocks folded by ``ufunc`` (np.maximum or
+    np.add), for each vector along the last axis of ``stacked``; leading
+    axes are kept. One stacked SVD per block side; the singular value of a
+    1x1 block is the modulus of its entry."""
+    lead = stacked.shape[:-1]
+    out = None
+    for n, idx in _side_classes(shape):
+        start = int(idx[0, 0, 0])
+        if idx[-1, -1, -1] - start + 1 == idx.size:
+            # adjacent blocks: a view instead of a copy of the stack, which
+            # for an estimator orbit holds thousands of vectors
+            seg = stacked[..., start:start + idx.size].reshape(
+                *lead, -1, n, n).swapaxes(-1, -2)
+        else:
+            seg = stacked[..., idx]
+        s = np.abs(seg) if n == 1 else np.linalg.svd(seg, compute_uv=False)
+        part = ufunc.reduce(s.reshape(*lead, -1), axis=-1)
+        out = part if out is None else ufunc(out, part)
+    return out
+
+
+def operator_norms(shape: AlgebraShape, stacked: np.ndarray) -> np.ndarray:
+    """Operator norms (largest singular value over the blocks) of the
+    vectorized elements along the last axis of ``stacked``."""
+    return _fold_singular_values(shape, stacked, np.maximum)
+
+
+def trace_norms(shape: AlgebraShape, stacked: np.ndarray) -> np.ndarray:
+    """Trace norms (sum of the singular values of all blocks) of the
+    vectorized functionals along the last axis of ``stacked``."""
+    return _fold_singular_values(shape, stacked, np.add)
+
+
+# ---------------------------------------------------------------------------
+# elements and functionals
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class AlgebraElement:
-    """One complex matrix per block."""
+class _BlockVector:
+    """One complex matrix per block, stored as one flat vector.
+
+    The vector is read-only: the blocks column-stacked and concatenated, the
+    module's vectorization. ``blocks`` are read-only (n, n) views into it.
+    Elements and functionals share this storage and everything that does
+    not depend on their side of the trace duality.
+    """
 
     shape: AlgebraShape
-    blocks: tuple[np.ndarray, ...] = field(repr=False)
+    _vec: np.ndarray = field(repr=False)
+
+    # makes numpy scalars on the left of * defer to __rmul__
+    __array_ufunc__ = None
 
     def __init__(self, shape: AlgebraShape, blocks: Sequence[np.ndarray]):
+        if len(blocks) != len(shape.blocks):
+            raise ShapeMismatch(
+                f"expected {len(shape.blocks)} blocks, got {len(blocks)}")
+        parts = []
+        for n, blk in zip(shape.blocks, blocks):
+            blk = np.asarray(blk, dtype=complex)
+            if blk.shape != (n, n):
+                raise ShapeMismatch(f"block of side {n} has shape {blk.shape}")
+            parts.append(blk.reshape(-1, order="F"))
+        self._hold(shape, np.concatenate(parts))
+
+    def _hold(self, shape: AlgebraShape, vec: np.ndarray) -> None:
+        vec.setflags(write=False)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "blocks", _frozen_blocks(shape, blocks))
+        object.__setattr__(self, "_vec", vec)
+
+    @classmethod
+    def _of(cls, shape: AlgebraShape, vec: np.ndarray):
+        """An instance holding ``vec``, a fresh complex vector of length
+        shape.dim that nothing else writes to."""
+        obj = object.__new__(cls)
+        obj._hold(shape, vec)
+        return obj
+
+    @functools.cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._vec[pos:pos + n * n].reshape((n, n), order="F")
+                     for n, pos in zip(self.shape.blocks, self.shape.offsets))
 
     # -- vectorization ------------------------------------------------------
 
     def vec(self) -> np.ndarray:
-        """Column-stacked blocks, concatenated. Round-trips via from_vec."""
-        return np.concatenate([b.reshape(-1, order="F") for b in self.blocks])
+        """Column-stacked blocks, concatenated: the stored read-only vector.
+        Round-trips via from_vec."""
+        return self._vec
 
-    @staticmethod
-    def from_vec(shape: AlgebraShape, v: np.ndarray) -> "AlgebraElement":
-        v = np.asarray(v, dtype=complex).reshape(-1)
+    @classmethod
+    def from_vec(cls, shape: AlgebraShape, v: np.ndarray):
+        v = np.array(v, dtype=complex).reshape(-1)
         if v.size != shape.dim:
             raise ShapeMismatch(f"vector of length {v.size} on shape {shape}")
-        blocks, pos = [], 0
-        for n in shape.blocks:
-            blocks.append(v[pos:pos + n * n].reshape((n, n), order="F"))
-            pos += n * n
-        return AlgebraElement(shape, blocks)
+        return cls._of(shape, v)
 
-    # -- arithmetic ---------------------------------------------------------
+    def _transposed(self) -> np.ndarray:
+        """vec of the blockwise transpose."""
+        return self._vec[transpose_permutation(self.shape)]
 
-    def _same_shape(self, other: "AlgebraElement") -> None:
+    # -- linear arithmetic --------------------------------------------------
+
+    def _same_shape(self, other: "_BlockVector") -> None:
         if self.shape != other.shape:
             raise ShapeMismatch(f"{self.shape} vs {other.shape}")
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         self._same_shape(other)
-        return AlgebraElement(self.shape,
-                              [a + b for a, b in zip(self.blocks, other.blocks)])
+        return self._of(self.shape, self._vec + other._vec)
 
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
         self._same_shape(other)
-        return AlgebraElement(self.shape,
-                              [a - b for a, b in zip(self.blocks, other.blocks)])
+        return self._of(self.shape, self._vec - other._vec)
 
-    def __mul__(self, scalar: complex) -> "AlgebraElement":
-        return AlgebraElement(self.shape, [scalar * b for b in self.blocks])
+    def __mul__(self, scalar: complex):
+        return self._of(self.shape, scalar * self._vec)
 
     __rmul__ = __mul__
+
+    # -- adjoints and tensor products ---------------------------------------
+
+    def adjoint(self):
+        return self._of(self.shape, np.conj(self._transposed()))
+
+    def hermitian_parts(self):
+        """self = h1 + i*h2 with both parts self-adjoint."""
+        star = np.conj(self._transposed())
+        return (self._of(self.shape, (self._vec + star) / 2),
+                self._of(self.shape, (self._vec - star) / 2j))
+
+    def _hermitian_defects(self) -> np.ndarray:
+        """max |b - b*| entrywise, per block, in block order."""
+        gap = np.abs(self._vec - np.conj(self._transposed()))
+        return np.maximum.reduceat(gap, self.shape.offsets)
+
+    def is_hermitian(self, tol: float = 1e-10) -> bool:
+        return bool(np.all(self._hermitian_defects() <= tol))
+
+    def tensor(self, other):
+        """self (x) other on shape.tensor(other.shape): blocks kron(a_i, b_j),
+        row-major over (i, j). For functionals, (psi (x) tau)(x (x) y) =
+        psi(x) * tau(y)."""
+        perm = tensor_permutation(self.shape, other.shape)
+        return self._of(self.shape.tensor(other.shape),
+                        np.kron(self._vec, other._vec)[perm])
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class AlgebraElement(_BlockVector):
+    """One complex matrix per block."""
 
     def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Blockwise algebra product."""
@@ -165,48 +268,22 @@ class AlgebraElement:
         return AlgebraElement(self.shape,
                               [a @ b for a, b in zip(self.blocks, other.blocks)])
 
-    def adjoint(self) -> "AlgebraElement":
-        return AlgebraElement(self.shape, [b.conj().T for b in self.blocks])
-
-    def hermitian_parts(self) -> tuple["AlgebraElement", "AlgebraElement"]:
-        """x = x1 + i*x2 with both parts self-adjoint."""
-        star = self.adjoint()
-        x1 = AlgebraElement(self.shape,
-                            [(a + b) / 2 for a, b in zip(self.blocks, star.blocks)])
-        x2 = AlgebraElement(self.shape,
-                            [(a - b) / 2j for a, b in zip(self.blocks, star.blocks)])
-        return x1, x2
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.all(_hermitian_defects(self.blocks) <= tol))
-
     @staticmethod
     def identity(shape: AlgebraShape) -> "AlgebraElement":
         return AlgebraElement(shape, [np.eye(n) for n in shape.blocks])
 
     @staticmethod
     def zero(shape: AlgebraShape) -> "AlgebraElement":
-        return AlgebraElement(shape, [np.zeros((n, n)) for n in shape.blocks])
+        return AlgebraElement._of(shape, np.zeros(shape.dim, dtype=complex))
 
 
 def operator_norm(x: AlgebraElement) -> float:
     """Max over blocks of the largest singular value."""
-    best = 0.0
-    for n, _, stack in _size_classes(x.blocks):
-        if n == 1:
-            top = np.max(np.abs(stack))
-        else:
-            top = np.max(np.linalg.svd(stack, compute_uv=False)[:, 0])
-        best = max(best, float(top))
-    return best
+    return float(operator_norms(x.shape, x.vec()))
 
 
-# ---------------------------------------------------------------------------
-# functionals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Functional:
+@dataclass(frozen=True, eq=False, init=False)
+class Functional(_BlockVector):
     """Linear functional psi(x) = sum_i tr(sigma_i x_i).
 
     The pairing is bilinear (no conjugation), so Hermitian functionals are
@@ -214,63 +291,25 @@ class Functional:
     matrices of total trace one.
     """
 
-    shape: AlgebraShape
-    blocks: tuple[np.ndarray, ...] = field(repr=False)
-
-    def __init__(self, shape: AlgebraShape, blocks: Sequence[np.ndarray]):
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "blocks", _frozen_blocks(shape, blocks))
-
     def __call__(self, x: AlgebraElement) -> complex:
         if x.shape != self.shape:
             raise ShapeMismatch(f"{self.shape} vs {x.shape}")
-        return complex(sum(np.trace(s @ b) for s, b in zip(self.blocks, x.blocks)))
+        return complex(self.row() @ x.vec())
 
     def row(self) -> np.ndarray:
         """Row vector f with psi(x) = f @ x.vec() (plain dot, no conjugation)."""
-        return np.concatenate([b.T.reshape(-1, order="F") for b in self.blocks])
-
-    def vec(self) -> np.ndarray:
-        return np.concatenate([b.reshape(-1, order="F") for b in self.blocks])
-
-    @staticmethod
-    def from_vec(shape: AlgebraShape, v: np.ndarray) -> "Functional":
-        el = AlgebraElement.from_vec(shape, v)
-        return Functional(shape, el.blocks)
+        return self._transposed()
 
     @staticmethod
     def from_row(shape: AlgebraShape, f: np.ndarray) -> "Functional":
-        el = AlgebraElement.from_vec(shape, f)
-        return Functional(shape, [b.T for b in el.blocks])
-
-    def __add__(self, other: "Functional") -> "Functional":
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} vs {other.shape}")
-        return Functional(self.shape,
-                          [a + b for a, b in zip(self.blocks, other.blocks)])
-
-    def __sub__(self, other: "Functional") -> "Functional":
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"{self.shape} vs {other.shape}")
-        return Functional(self.shape,
-                          [a - b for a, b in zip(self.blocks, other.blocks)])
-
-    def __mul__(self, scalar: complex) -> "Functional":
-        return Functional(self.shape, [scalar * b for b in self.blocks])
-
-    __rmul__ = __mul__
-
-    def adjoint(self) -> "Functional":
-        return Functional(self.shape, [b.conj().T for b in self.blocks])
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return bool(np.all(_hermitian_defects(self.blocks) <= tol))
+        return Functional._of(shape, Functional.from_vec(shape, f)._transposed())
 
     def is_state(self, tol: float = 1e-10) -> bool:
         if not self.is_hermitian(tol):
             return False
         total = 0.0
-        for n, _, stack in _size_classes(self.blocks):
+        for n, idx in _side_classes(self.shape):
+            stack = self._vec[idx]
             if n == 1:
                 w = stack.real.reshape(-1, 1)
             else:
@@ -289,23 +328,7 @@ class Functional:
 
 def functional_norm(psi: Functional) -> float:
     """Sum of blockwise trace norms (the dual norm to the operator norm)."""
-    total = 0.0
-    for n, _, stack in _size_classes(psi.blocks):
-        if n == 1:
-            total += float(np.sum(np.abs(stack)))
-        else:
-            total += float(np.sum(np.linalg.svd(stack, compute_uv=False)))
-    return float(total)
-
-
-def hermitian_split(psi: Functional) -> tuple[Functional, Functional]:
-    """psi = psi1 + i*psi2 with psi1, psi2 Hermitian."""
-    star = psi.adjoint()
-    psi1 = Functional(psi.shape,
-                      [(a + b) / 2 for a, b in zip(psi.blocks, star.blocks)])
-    psi2 = Functional(psi.shape,
-                      [(a - b) / 2j for a, b in zip(psi.blocks, star.blocks)])
-    return psi1, psi2
+    return float(trace_norms(psi.shape, psi.vec()))
 
 
 def jordan_decompose(h: Functional, tol: float = 1e-10) -> tuple[Functional, Functional]:
@@ -315,14 +338,15 @@ def jordan_decompose(h: Functional, tol: float = 1e-10) -> tuple[Functional, Fun
     makes the norms exactly additive: ||h||_1 = ||h+||_1 + ||h-||_1.
     Raises NotHermitian if any block fails the Hermiticity tolerance.
     """
-    defects = _hermitian_defects(h.blocks)
+    defects = h._hermitian_defects()
     bad = np.flatnonzero(defects > tol)
     if bad.size:
         raise NotHermitian(
             f"block deviates from Hermitian by {defects[bad[0]]:.2e}")
-    plus: list = [None] * len(h.blocks)
-    minus: list = [None] * len(h.blocks)
-    for n, idx, stack in _size_classes(h.blocks):
+    plus = np.empty(h.shape.dim, dtype=complex)
+    minus = np.empty(h.shape.dim, dtype=complex)
+    for n, idx in _side_classes(h.shape):
+        stack = h.vec()[idx]
         herm = (stack + _adjoints(stack)) / 2
         if n == 1:
             w = herm.real
@@ -332,38 +356,13 @@ def jordan_decompose(h: Functional, tol: float = 1e-10) -> tuple[Functional, Fun
             uh = _adjoints(u)
             p = (u * np.clip(w, 0.0, None)[:, None, :]) @ uh
             m = (u * np.clip(-w, 0.0, None)[:, None, :]) @ uh
-        for j, i in enumerate(idx):
-            plus[i], minus[i] = p[j], m[j]
-    return Functional(h.shape, plus), Functional(h.shape, minus)
+        plus[idx], minus[idx] = p, m
+    return Functional._of(h.shape, plus), Functional._of(h.shape, minus)
 
 
 # ---------------------------------------------------------------------------
 # tensor products
 # ---------------------------------------------------------------------------
-
-def tensor_elements(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    shape = x.shape.tensor(y.shape)
-    return AlgebraElement(shape,
-                          [np.kron(a, b) for a in x.blocks for b in y.blocks])
-
-
-def tensor_functionals(psi: Functional, tau: Functional) -> Functional:
-    """Product functional: (psi (x) tau)(x (x) y) = psi(x) * tau(y)."""
-    shape = psi.shape.tensor(tau.shape)
-    return Functional(shape,
-                      [np.kron(a, b) for a in psi.blocks for b in tau.blocks])
-
-
-def transpose_permutation(shape: AlgebraShape) -> np.ndarray:
-    """Index array k with vec(x^T) = x.vec()[k]; an involution."""
-    perm = np.empty(shape.dim, dtype=np.intp)
-    pos = 0
-    for n in shape.blocks:
-        idx = np.arange(n * n).reshape((n, n), order="F")
-        perm[pos:pos + n * n] = pos + idx.T.reshape(-1, order="F")
-        pos += n * n
-    return perm
-
 
 def tensor_permutation(a: AlgebraShape, b: AlgebraShape) -> np.ndarray:
     """Source indices s with vec(x (x) y) = (x.vec() kron y.vec())[s].
@@ -484,8 +483,7 @@ def random_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElem
 def random_hermitian_element(shape: AlgebraShape,
                              rng: np.random.Generator,
                              normalized: bool = True) -> AlgebraElement:
-    g = random_element(shape, rng)
-    h = AlgebraElement(shape, [(b + b.conj().T) / 2 for b in g.blocks])
+    h = random_element(shape, rng).hermitian_parts()[0]
     if normalized:
         nrm = operator_norm(h)
         if nrm > 0:
@@ -495,19 +493,12 @@ def random_hermitian_element(shape: AlgebraShape,
 
 def random_functional(shape: AlgebraShape, rng: np.random.Generator,
                       normalized: bool = True) -> Functional:
-    g = random_element(shape, rng)
-    psi = Functional(shape, g.blocks)
+    psi = Functional.from_vec(shape, random_element(shape, rng).vec())
     if normalized:
         nrm = functional_norm(psi)
         if nrm > 0:
             psi = psi * (1.0 / nrm)
     return psi
-
-
-def random_hermitian_functional(shape: AlgebraShape,
-                                rng: np.random.Generator) -> Functional:
-    g = random_element(shape, rng)
-    return Functional(shape, [(b + b.conj().T) / 2 for b in g.blocks])
 
 
 def random_state(shape: AlgebraShape, rng: np.random.Generator) -> Functional:

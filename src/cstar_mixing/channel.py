@@ -7,10 +7,11 @@ known about its positivity. Construction always enforces unitality and
 Hermiticity preservation; positivity claims stronger than "declared" are
 verified, never taken on faith.
 
-Complete positivity is tested once, on the extension X -> embed(T(compress(X)))
+Complete positivity is tested on the extension X -> embed(T(compress(X)))
 of T to the full matrix algebra M_N: compression and embedding are both CP,
-so the extension is CP exactly when T is, and a single Choi matrix covers
-direct sums.
+so the extension is CP exactly when T is. Its Choi matrix is, up to a
+permutation, a direct sum with one block per pair of algebra blocks, and
+the test reads those blocks from the superoperator directly.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     Functional,
+    _adjoints,
+    _side_classes,
     functional_norm,
     hermitian_basis,
     jordan_decompose,
@@ -232,7 +235,8 @@ class CpVerdict:
 
 
 def choi_matrix(op: MarkovOperator) -> np.ndarray:
-    """Choi matrix of the extension of T to the embedding algebra M_N."""
+    """Choi matrix of the extension of T to the embedding algebra M_N, as
+    one dense N^2 x N^2 matrix: the reference for the blockwise ``check_cp``."""
     shape = op.shape
     N = shape.matrix_dim
     E = embedding_matrix(shape)
@@ -242,11 +246,28 @@ def choi_matrix(op: MarkovOperator) -> np.ndarray:
 
 
 def check_cp(op: MarkovOperator, config: Config = DEFAULT) -> CpVerdict:
-    """Complete positivity via the minimal Choi eigenvalue."""
-    C = choi_matrix(op)
-    herm = (C + C.conj().T) / 2
-    w = np.linalg.eigvalsh(herm)
-    lo = float(w[0])
+    """Complete positivity via the minimal Choi eigenvalue.
+
+    ``choi_matrix`` is, up to a permutation, the direct sum over pairs
+    (input block b, output block c) of the Choi matrices C_bc, of side
+    n_b * n_c, of the maps M_{n_b} -> M_{n_c} that T restricts to:
+    C_bc[(p, r), (q, s)] = T(e_pq)_c[r, s], read from the (c, b) submatrix
+    of M. The minimum is taken over these blocks, with one batched
+    eigensolve per pair of block sides (real parts for 1x1 blocks).
+    """
+    lo = np.inf
+    classes = _side_classes(op.shape)
+    for n_c, out_idx in classes:
+        for n_b, in_idx in classes:
+            # g[j, i, r, s, p, q] = T(e_pq)[r, s] from input block i of side
+            # n_b to output block j of side n_c
+            g = op.matrix[out_idx[:, None, :, :, None, None],
+                          in_idx[None, :, None, None, :, :]]
+            side = n_b * n_c
+            c = g.transpose(0, 1, 4, 2, 5, 3).reshape(-1, side, side)
+            w = c.real if side == 1 else np.linalg.eigvalsh(
+                (c + _adjoints(c)) / 2)
+            lo = min(lo, float(w.min()))
     return CpVerdict(cp=lo >= -config.tol_choi, min_choi_eigenvalue=lo)
 
 
@@ -339,9 +360,7 @@ def _candidate_states(op: MarkovOperator, null: np.ndarray,
     yield canonical_invariant_state(op, config)
     for idx in range(null.shape[1]):
         psi = Functional.from_vec(op.shape, null[:, idx])
-        h1 = (psi + psi.adjoint()) * 0.5
-        h2 = (psi - psi.adjoint()) * (-0.5j)
-        for h in (h1, h2):
+        for h in psi.hermitian_parts():
             nrm = functional_norm(h)
             if nrm < 1e-12:
                 continue

@@ -36,12 +36,13 @@ from .algebra import (
     Functional,
     functional_norm,
     hermitian_basis_matrix,
+    operator_norms,
     product_pairing_matrix,
     random_hermitian_element,
     random_functional,
     random_state,
-    tensor_functionals,
     tensor_permutation,
+    trace_norms,
 )
 from .channel import (
     MarkovOperator,
@@ -55,7 +56,6 @@ from .channel import (
 from .config import Config, DEFAULT
 from .errors import (
     CstarMixingError,
-    DefectivePeripheral,
     HierarchyViolation,
     ImplicationViolation,
     InvariantStateMismatch,
@@ -65,7 +65,12 @@ from .errors import (
     UnknownTheorem,
     ValidationError,
 )
-from .spectral import power_limit, range_of_defect, spectrum
+from .spectral import (
+    cesaro_projector_spectral,
+    power_limit,
+    range_of_defect,
+    spectrum,
+)
 
 __all__ = [
     "THEOREM_NAMES",
@@ -151,7 +156,7 @@ class DynamicalSystem:
 def tensor_system(sys: DynamicalSystem, config: Config = DEFAULT) -> DynamicalSystem:
     """(T tensor T, phi tensor phi) on the tensor-square algebra."""
     big = tensor(sys.operator, sys.operator)
-    return DynamicalSystem(big, tensor_functionals(sys.state, sys.state), config)
+    return DynamicalSystem(big, sys.state.tensor(sys.state), config)
 
 
 def _tensor_square(sys: DynamicalSystem, config: Config) -> DynamicalSystem | None:
@@ -214,8 +219,11 @@ def _thread_count() -> int:
     return os.cpu_count() or 1
 
 
-def _dyadic_pass(c_half: float, c_full: float, tol: float, cfg: Config) -> bool:
-    return c_full <= tol or c_full <= cfg.dyadic_factor * c_half
+def _dyadic_passes(half: np.ndarray, full: np.ndarray, tol: float,
+                   cfg: Config) -> bool:
+    """Whether every trace passes the dyadic-decrease test: its value at N
+    is below ``tol`` or at most ``dyadic_factor`` times its value at N/2."""
+    return bool(np.all((full <= tol) | (full <= cfg.dyadic_factor * half)))
 
 
 def _window_maxes(running: np.ndarray, n: int, cfg: Config) -> tuple[np.ndarray, np.ndarray]:
@@ -377,7 +385,7 @@ def _eq1_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     n = cfg.estimator_n
     running, _ = _correlation_running(sys, rows, consts, x0, n)
     half, full = _window_maxes(running, n, cfg)
-    ok = all(_dyadic_pass(h, f, cfg.estimator_abs, cfg) for h, f in zip(half, full))
+    ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
     return ok, {"trace": _downsample(running, n),
                 "final": [float(v) for v in full]}
 
@@ -411,7 +419,7 @@ def _state_mean_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     n = cfg.estimator_n
     running, _ = _correlation_running(sys, rows, consts, x0, n)
     half, full = _window_maxes(running, n, cfg)
-    ok = all(_dyadic_pass(h, f, cfg.estimator_abs, cfg) for h, f in zip(half, full))
+    ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
     return ok, {"trace": _downsample(running, n)}
 
 
@@ -422,27 +430,6 @@ def _centered_columns(sys: DynamicalSystem, xs: list[AlgebraElement]) -> np.ndar
     return np.column_stack([x.vec() - sys.state(x) * one for x in xs])
 
 
-def _block_norms(shape: AlgebraShape, stacked: np.ndarray) -> np.ndarray:
-    """Operator norms of vectorized elements, batched.
-
-    ``stacked`` has vecs along its last axis; leading axes are preserved.
-    Transposing a block leaves singular values alone, so the row-major
-    unflattening below needs no extra permutation.
-    """
-    lead = stacked.shape[:-1]
-    out = np.zeros(lead)
-    ones = [pos for n, pos in zip(shape.blocks, shape.offsets) if n == 1]
-    if ones:
-        out = np.max(np.abs(stacked[..., ones]), axis=-1)
-    for n, pos in zip(shape.blocks, shape.offsets):
-        if n == 1:
-            continue
-        seg = stacked[..., pos:pos + n * n].reshape(*lead, n, n)
-        s = np.linalg.svd(seg, compute_uv=False)
-        out = np.maximum(out, s[..., 0])
-    return out
-
-
 def _orbit_norm_series(sys: DynamicalSystem, x0: np.ndarray, n: int) -> np.ndarray:
     """w[k, j] = ||T^k applied to column j|| for k < n (operator norm)."""
     d, m = x0.shape
@@ -450,7 +437,7 @@ def _orbit_norm_series(sys: DynamicalSystem, x0: np.ndarray, n: int) -> np.ndarr
     traj = np.empty((n, m, d), dtype=complex)
     for b, x in zip(range(0, n, s), strides):
         traj[b:b + s] = layout.columns_out(x).T.reshape(s, m, d)
-    return _block_norms(sys.shape, traj)
+    return operator_norms(sys.shape, traj)
 
 
 def _mean_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
@@ -463,7 +450,7 @@ def _mean_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     w = _orbit_norm_series(sys, x0, n)
     running = np.cumsum(w, axis=0) / np.arange(1, n + 1)[:, None]
     half, full = _window_maxes(running, n, cfg)
-    ok = all(_dyadic_pass(h, f, cfg.estimator_abs, cfg) for h, f in zip(half, full))
+    ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
     return ok, {"trace": _downsample(running, n),
                 "final": [float(v) for v in full]}
 
@@ -493,10 +480,10 @@ def _cesaro_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     # the 2w sampled means leave the working layout together, for one
     # stacked norm computation
     stacked = layout.columns_out(np.concatenate(samples, axis=1))
-    norms = _block_norms(sys.shape, stacked.T.reshape(2 * w, m, d))
+    norms = operator_norms(sys.shape, stacked.T.reshape(2 * w, m, d))
     half = norms[:w].max(axis=0)
     full = norms[w:].max(axis=0)
-    ok = all(_dyadic_pass(h, f, cfg.estimator_abs, cfg) for h, f in zip(half, full))
+    ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
     return ok, {"final": [float(v) for v in full],
                 "half": [float(v) for v in half]}
 
@@ -518,10 +505,9 @@ def _power_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     xs = _random_probe_elements(sys, rng, cfg)
     x0 = _centered_columns(sys, xs)
     p_half, p_full = _matrix_power_pair(sys.operator.matrix, cfg.exact_power_n)
-    v_half = _block_norms(sys.shape, (p_half @ x0).T)
-    v_full = _block_norms(sys.shape, (p_full @ x0).T)
-    ok = all(_dyadic_pass(h, f, cfg.estimator_abs, cfg)
-             for h, f in zip(v_half, v_full))
+    v_half = operator_norms(sys.shape, (p_half @ x0).T)
+    v_full = operator_norms(sys.shape, (p_full @ x0).T)
+    ok = _dyadic_passes(v_half, v_full, cfg.estimator_abs, cfg)
     return ok, {"at_half": [float(v) for v in v_half],
                 "at_full": [float(v) for v in v_full]}
 
@@ -536,8 +522,7 @@ def _weak_power_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     p_half, p_full = _matrix_power_pair(sys.operator.matrix, cfg.exact_power_n)
     v_half = np.abs(np.einsum("jd,dj->j", rows, p_half @ x0))
     v_full = np.abs(np.einsum("jd,dj->j", rows, p_full @ x0))
-    ok = all(_dyadic_pass(h, f, cfg.estimator_abs, cfg)
-             for h, f in zip(v_half, v_full))
+    ok = _dyadic_passes(v_half, v_full, cfg.estimator_abs, cfg)
     return ok, {"at_full": [float(v) for v in v_full]}
 
 
@@ -546,18 +531,13 @@ def _dual_power_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     """||psi . T^n - psi(1) phi||_1 at the power horizon, random functionals."""
     one = AlgebraElement.identity(sys.shape)
     d_half, d_full = _matrix_power_pair(dual(sys.operator).matrix, cfg.exact_power_n)
-    vals_half, vals_full = [], []
-    for _ in range(cfg.estimator_pairs):
-        psi = random_functional(sys.shape, rng)
-        target = psi(one) * sys.state
-        v = psi.vec()
-        vals_half.append(functional_norm(
-            Functional.from_vec(sys.shape, d_half @ v) - target))
-        vals_full.append(functional_norm(
-            Functional.from_vec(sys.shape, d_full @ v) - target))
-    ok = all(_dyadic_pass(h, f, cfg.exact_estimator_tol, cfg)
-             for h, f in zip(vals_half, vals_full))
-    return ok, {"at_full": vals_full}
+    psis = [random_functional(sys.shape, rng) for _ in range(cfg.estimator_pairs)]
+    v = np.column_stack([psi.vec() for psi in psis])
+    target = np.outer(sys.state.vec(), [psi(one) for psi in psis])
+    vals_half = trace_norms(sys.shape, (d_half @ v - target).T)
+    vals_full = trace_norms(sys.shape, (d_full @ v - target).T)
+    ok = _dyadic_passes(vals_half, vals_full, cfg.exact_estimator_tol, cfg)
+    return ok, {"at_full": [float(x) for x in vals_full]}
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +550,11 @@ def _rank_one_matrix(sys: DynamicalSystem) -> np.ndarray:
 
 
 def _ergodic_spectral(sys: DynamicalSystem, cfg: Config) -> tuple[bool, dict]:
+    proj = cesaro_projector_spectral(sys.operator, cfg)
     summ = spectrum(sys.operator, cfg)
-    if summ.defective_peripheral:
-        raise DefectivePeripheral("peripheral eigenvalue with a Jordan block")
     h = hermitian_basis_matrix(sys.shape)
     q = product_pairing_matrix(sys.state)
-    gram = h.T @ q @ (summ.cesaro_matrix @ h)
+    gram = h.T @ q @ (proj @ h)
     g = h.T @ sys.state.row()
     resid = np.abs(gram - np.outer(g, g))
     # the first pair within rounding of the largest residual: symmetric
@@ -593,16 +572,15 @@ def _ergodic_spectral(sys: DynamicalSystem, cfg: Config) -> tuple[bool, dict]:
 
 
 def _swm_spectral(sys: DynamicalSystem, cfg: Config) -> tuple[bool, dict]:
+    proj = cesaro_projector_spectral(sys.operator, cfg)
     summ = spectrum(sys.operator, cfg)
-    if summ.defective_peripheral:
-        raise DefectivePeripheral("peripheral eigenvalue with a Jordan block")
     off = [c for c in summ.peripheral if abs(c - 1.0) > cfg.tol_cluster]
     verdict = summ.fixed_space_dim == 1 and not off
     wit = {"fixed_space_dim": summ.fixed_space_dim,
            "peripheral": list(summ.peripheral),
            "peripheral_off_one": off}
     if verdict:
-        resid = float(np.max(np.abs(summ.cesaro_matrix - _rank_one_matrix(sys))))
+        resid = float(np.max(np.abs(proj - _rank_one_matrix(sys))))
         wit["rank_one_residual"] = resid
         if resid > cfg.tol_spectral:
             raise MethodDisagreement(

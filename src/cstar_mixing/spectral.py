@@ -44,10 +44,14 @@ def _rank(m: np.ndarray, rel_tol: float) -> int:
 def _cluster_labels(eigs: np.ndarray, radius: float
                     ) -> tuple[np.ndarray, list[tuple[complex, int]]]:
     """Chain-cluster eigenvalues: the connected components of the graph
-    joining points within ``radius``, ordered by their lexsmallest point.
+    joining points within ``radius``.
 
-    Returns the cluster index of every input point and the clusters as
-    (center, multiplicity) pairs, the center being the mean.
+    Clusters are ordered by the real parts of their centers, and clusters
+    whose centers' real parts chain together within ``radius`` by imaginary
+    part: the real parts of a conjugate pair agree only up to rounding, which
+    must not decide which of the two comes first. Returns the cluster index
+    of every input point and the clusters as (center, multiplicity) pairs,
+    the center being the mean.
     """
     order = np.lexsort((eigs.imag, eigs.real))
     pts = eigs[order]
@@ -66,9 +70,15 @@ def _cluster_labels(eigs: np.ndarray, radius: float
     mult = np.bincount(index)
     centers = (np.bincount(index, pts.real)
                + 1j * np.bincount(index, pts.imag)) / mult
+    by_real = np.argsort(centers.real, kind="stable")
+    band = np.cumsum(np.diff(centers.real[by_real], prepend=-np.inf) > radius)
+    ranked = by_real[np.lexsort((centers.imag[by_real], band))]
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(ranked.size)
     out = np.empty(pts.size, dtype=np.intp)
-    out[order] = index
-    return out, [(complex(c), int(k)) for c, k in zip(centers, mult)]
+    out[order] = rank[index]
+    return out, [(complex(c), int(k))
+                 for c, k in zip(centers[ranked], mult[ranked])]
 
 
 def _cluster(eigs: np.ndarray, radius: float) -> list[tuple[complex, int]]:
@@ -86,7 +96,6 @@ class SpectralSummary:
     fixed_space_dim: int
     defective_peripheral: bool
     spectral_radius: float
-    cesaro_matrix: np.ndarray | None = field(repr=False, default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +176,7 @@ def _defect_svd(m: np.ndarray, config: Config
 
 
 def _summary(eigs: np.ndarray, clusters: list, fixed: int, defective: bool,
-             projector: np.ndarray | None, config: Config) -> SpectralSummary:
+             config: Config) -> SpectralSummary:
     return SpectralSummary(
         eigenvalues=tuple(complex(x) for x in eigs),
         clusters=tuple(clusters),
@@ -176,7 +185,6 @@ def _summary(eigs: np.ndarray, clusters: list, fixed: int, defective: bool,
         fixed_space_dim=int(fixed),
         defective_peripheral=defective,
         spectral_radius=float(np.max(np.abs(eigs))),
-        cesaro_matrix=None if defective else projector,
     )
 
 
@@ -205,7 +213,7 @@ def _analyse(m: np.ndarray, config: Config) -> _SpectralData:
     for a in (projector, t, z, labels):
         if a is not None:
             a.setflags(write=False)
-    summary = _summary(eigs, clusters, fixed, defective, projector, config)
+    summary = _summary(eigs, clusters, fixed, defective, config)
     return _SpectralData(summary, k, projector, u, s, (t, z), labels)
 
 
@@ -240,7 +248,7 @@ def _analyse_product(op: MarkovOperator, config: Config) -> _SpectralData:
         perm = tensor_permutation(left.shape, right.shape)
         projector = np.ascontiguousarray(kron[np.ix_(perm, perm)])
         projector.setflags(write=False)
-    summary = _summary(eigs, clusters, fixed, defective, projector, config)
+    summary = _summary(eigs, clusters, fixed, defective, config)
     return _SpectralData(summary, k, projector, u, s)
 
 
@@ -267,7 +275,7 @@ def _projector_from_schur(t: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
 
 
 def spectrum(op: MarkovOperator, config: Config = DEFAULT) -> SpectralSummary:
-    """Eigenvalues, peripheral part, fixed space, and the Cesàro projector.
+    """Eigenvalues, clusters, peripheral part and fixed space.
 
     Reads the ``summary`` of the operator's memoized spectral data (one per
     operator and ``Config``, so repeated calls return the same object):
@@ -275,37 +283,26 @@ def spectrum(op: MarkovOperator, config: Config = DEFAULT) -> SpectralSummary:
     made by ``tensor``, the products of its factors' eigenvalues),
     fixed_space_dim as D - rank(M - I) from the one SVD of M - I.
     Defectiveness compares geometric and algebraic (clustered)
-    multiplicities on every peripheral cluster; the Cesàro projector,
-    read-only, is attached whenever no peripheral cluster is defective.
+    multiplicities on every peripheral cluster. The Cesàro projector is
+    read with ``cesaro_projector_spectral``.
     """
     return _spectral_data(op, config).summary
-
-
-def _cesaro_from_matrix(m: np.ndarray, config: Config) -> np.ndarray:
-    """Spectral projector onto the eigenvalue-1 cluster along its complement.
-
-    Complex Schur form with the 1-cluster sorted to the front, then a
-    triangular Sylvester solve for the coupling block. Raises
-    DefectivePeripheral when the 1-cluster carries a nontrivial Jordan
-    structure.
-    """
-    return _analyse(m, config).cesaro()
 
 
 def cesaro_projector_spectral(op: MarkovOperator,
                               config: Config = DEFAULT) -> np.ndarray:
     """The limit of the running means (1/n) sum_{k<n} T^k, computed exactly.
 
-    Read from the memoized ``spectrum(op, config)``: the returned array is
-    shared between calls and read-only.
+    Read from the operator's memoized spectral data: the returned array is
+    shared between calls and read-only. Raises DefectivePeripheral when a
+    peripheral cluster is defective.
     """
-    summary = spectrum(op, config)
-    if summary.defective_peripheral:
+    data = _spectral_data(op, config)
+    if data.summary.defective_peripheral:
         raise DefectivePeripheral(
             "peripheral cluster with nontrivial Jordan structure; "
             "input is not a power-bounded Markov operator")
-    assert summary.cesaro_matrix is not None
-    return summary.cesaro_matrix
+    return data.projector
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,9 +393,8 @@ def power_limit(op: MarkovOperator, config: Config = DEFAULT) -> PowerLimit:
     if offending:
         return PowerLimit(limit=None, diverges_peripheral=True,
                           offending=offending)
-    assert summary.cesaro_matrix is not None
-    return PowerLimit(limit=summary.cesaro_matrix, diverges_peripheral=False,
-                      offending=())
+    return PowerLimit(limit=cesaro_projector_spectral(op, config),
+                      diverges_peripheral=False, offending=())
 
 
 def range_of_defect(op: MarkovOperator, config: Config = DEFAULT) -> np.ndarray:

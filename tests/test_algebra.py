@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_mixing.algebra import (
     AlgebraElement,
@@ -8,16 +10,14 @@ from cstar_mixing.algebra import (
     functional_norm,
     hermitian_basis,
     hermitian_basis_matrix,
-    hermitian_split,
     jordan_decompose,
     operator_norm,
+    operator_norms,
     product_pairing_matrix,
     random_element,
     random_functional,
-    random_hermitian_functional,
     random_state,
-    tensor_elements,
-    tensor_functionals,
+    trace_norms,
 )
 from cstar_mixing.errors import NotHermitian, ShapeMismatch
 
@@ -25,6 +25,10 @@ M22 = AlgebraShape([2, 2])
 M12 = AlgebraShape([1, 2])
 # repeated block sides: the batched per-side paths see several blocks a side
 REPEATED = AlgebraShape([1, 2, 1, 2, 3])
+
+
+def random_hermitian_functional(shape, rng):
+    return random_functional(shape, rng, normalized=False).hermitian_parts()[0]
 
 
 def test_shape_dimensions():
@@ -112,7 +116,7 @@ def test_functional_arithmetic():
 def test_hermitian_split():
     rng = np.random.default_rng(4)
     psi = random_functional(M12, rng)
-    h1, h2 = hermitian_split(psi)
+    h1, h2 = psi.hermitian_parts()
     assert h1.is_hermitian(1e-12) and h2.is_hermitian(1e-12)
     x = random_element(M12, rng)
     assert h1(x) + 1j * h2(x) == pytest.approx(psi(x), abs=1e-12)
@@ -168,8 +172,8 @@ def test_tensor_pairing_is_multiplicative():
     assert s1.tensor(s2).blocks == (2, 4)
     f, g = random_functional(s1, rng), random_functional(s2, rng)
     x, y = random_element(s1, rng), random_element(s2, rng)
-    fg = tensor_functionals(f, g)
-    xy = tensor_elements(x, y)
+    fg = f.tensor(g)
+    xy = x.tensor(y)
     assert fg(xy) == pytest.approx(f(x) * g(y), abs=1e-11)
 
 
@@ -221,3 +225,83 @@ def test_blockwise_predicates_report_the_offending_block():
     blocks = list(rho.blocks)
     blocks[2] = -blocks[2]                                   # second 1x1 block
     assert not Functional(REPEATED, blocks).is_state(1e-10)
+
+
+# -- properties of the flat block storage, over random shapes ---------------
+
+SHAPES = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(AlgebraShape)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _draws(shape, seed):
+    rng = np.random.default_rng(seed)
+    return (random_element(shape, rng), random_element(shape, rng),
+            random_functional(shape, rng), random_functional(shape, rng))
+
+
+def _block_trace(psi, x):
+    return sum(np.trace(s @ b) for s, b in zip(psi.blocks, x.blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SEEDS)
+def test_from_vec_round_trips_and_views_are_read_only(shape, seed):
+    x, _, psi, _ = _draws(shape, seed)
+    for obj in (x, psi):
+        back = type(obj).from_vec(shape, obj.vec())
+        assert np.array_equal(back.vec(), obj.vec())
+        for a, b in zip(back.blocks, obj.blocks):
+            assert np.array_equal(a, b)
+        assert not obj.vec().flags.writeable
+        for blk in obj.blocks:
+            assert not blk.flags.writeable
+            assert np.shares_memory(blk, obj.vec())
+            with pytest.raises(ValueError):
+                blk[0, 0] = 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SEEDS)
+def test_adjoint_is_an_involution(shape, seed):
+    x, _, psi, _ = _draws(shape, seed)
+    for obj in (x, psi):
+        star = obj.adjoint()
+        for a, b in zip(star.blocks, obj.blocks):
+            assert np.array_equal(a, b.conj().T)
+        assert np.array_equal(star.adjoint().vec(), obj.vec())
+        h1, h2 = obj.hermitian_parts()
+        assert h1.is_hermitian(0.0) and h2.is_hermitian(0.0)
+        assert np.allclose((h1 + 1j * h2).vec(), obj.vec(), atol=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SHAPES, SEEDS)
+def test_pairings_and_tensor_products(shape, other, seed):
+    x, _, psi, _ = _draws(shape, seed)
+    y, _, tau, _ = _draws(other, seed + 1)
+    assert psi.row() @ x.vec() == pytest.approx(psi(x), abs=1e-12)
+    assert np.array_equal(Functional.from_row(shape, psi.row()).vec(), psi.vec())
+    assert psi(x) == pytest.approx(_block_trace(psi, x), abs=1e-12)
+    xy, pt = x.tensor(y), psi.tensor(tau)
+    assert xy.shape == pt.shape == shape.tensor(other)
+    ref = [np.kron(a, b) for a in x.blocks for b in y.blocks]
+    for a, b in zip(xy.blocks, ref):
+        assert np.array_equal(a, b)
+    assert pt(xy) == pytest.approx(psi(x) * tau(y), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SHAPES, SEEDS)
+def test_batched_norms_match_blockwise_norms(shape, seed):
+    elems = _draws(shape, seed)
+    stacked = np.stack([e.vec() for e in elems]).reshape(2, 2, shape.dim)
+    ops = operator_norms(shape, stacked).reshape(-1)
+    traces = trace_norms(shape, stacked).reshape(-1)
+    for e, op_norm, tr_norm in zip(elems, ops, traces):
+        assert op_norm == pytest.approx(
+            max(np.linalg.norm(b, 2) for b in e.blocks), abs=1e-12)
+        assert tr_norm == pytest.approx(
+            sum(np.linalg.norm(b, "nuc") for b in e.blocks), abs=1e-12)
+    x, y, psi, tau = elems
+    assert [operator_norm(x), operator_norm(y)] == list(ops[:2])
+    assert [functional_norm(psi), functional_norm(tau)] == list(traces[2:])

@@ -8,7 +8,6 @@ from cstar_mixing.algebra import (
     functional_norm,
     random_element,
     random_functional,
-    tensor_elements,
 )
 from cstar_mixing.channel import (
     canonical_invariant_state,
@@ -27,6 +26,7 @@ from cstar_mixing.channel import (
     tensor,
 )
 from cstar_mixing.config import DEFAULT
+from cstar_mixing.models import example2
 from cstar_mixing.errors import (
     NotCompletelyPositive,
     NotHermitianPreserving,
@@ -35,7 +35,7 @@ from cstar_mixing.errors import (
     RequiresCP,
     ShapeMismatch,
 )
-from cstar_mixing.spectral import _cesaro_from_matrix
+from cstar_mixing.spectral import _analyse
 
 S2 = AlgebraShape([2])
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -74,6 +74,39 @@ def test_transpose_choi_eigenvalue():
     verdict = check_cp(transpose_superoperator())
     assert not verdict.cp
     assert verdict.min_choi_eigenvalue == pytest.approx(-1.0, abs=1e-9)
+
+
+def _dense_min_choi(op):
+    c = choi_matrix(op)
+    return float(np.linalg.eigvalsh((c + c.conj().T) / 2)[0])
+
+
+@pytest.mark.parametrize("blocks", [[2], [3], [1, 2], [1, 1, 2], [2, 3]])
+@pytest.mark.parametrize("kraus_count", [1, 2, 3])
+def test_blockwise_choi_minimum_matches_dense(blocks, kraus_count):
+    op = random_unital_cp(AlgebraShape(blocks), kraus_count,
+                          seed=60 + kraus_count)
+    assert check_cp(op).min_choi_eigenvalue == pytest.approx(
+        _dense_min_choi(op), abs=1e-12)
+
+
+def test_blockwise_choi_finds_a_transpose_on_one_block():
+    # x -> (x_1, x_2^T) on (1, 2): only the (2, 2) block pair is not CP
+    m = np.eye(5, dtype=complex)
+    m[1:, 1:] = transpose_superoperator().matrix
+    op = from_superoperator(AlgebraShape([1, 2]), m)
+    for o in (op, transpose_superoperator()):
+        assert check_cp(o).min_choi_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+        assert _dense_min_choi(o) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_verified_cp_on_a_large_commutative_tensor_square():
+    # (1,)*144: the dense Choi matrix would be 20736 x 20736
+    op = example2(12, 5)[0].operator
+    square = tensor(op, op)
+    explicit = from_superoperator(square.shape, square.matrix, "verified_cp")
+    assert explicit.is_cp_verified()
+    assert check_cp(explicit).min_choi_eigenvalue == 0.0
 
 
 def test_identity_channel_choi_is_maximally_entangled():
@@ -201,8 +234,8 @@ def test_tensor_acts_as_product():
     big = tensor(op1, op2)
     x = random_element(S2, rng)
     y = random_element(op2.shape, rng)
-    lhs = big(tensor_elements(x, y))
-    rhs = tensor_elements(op1(x), op2(y))
+    lhs = big(x.tensor(y))
+    rhs = op1(x).tensor(op2(y))
     assert _max_block_diff(lhs, rhs) <= 1e-11
 
 
@@ -224,7 +257,7 @@ def test_canonical_state_from_transposed_projector(blocks, kraus_count):
     # match the one from a direct Schur solve on the dual matrix
     shape = AlgebraShape(blocks)
     op = random_unital_cp(shape, kraus_count, seed=40 + kraus_count)
-    proj = _cesaro_from_matrix(dual(op).matrix, DEFAULT)
+    proj = _analyse(dual(op).matrix, DEFAULT).cesaro()
     v = proj @ Functional.uniform_state(shape).vec()
     ref = Functional.from_vec(shape, v)
     ref = ref * (1.0 / sum(np.trace(b) for b in ref.blocks))

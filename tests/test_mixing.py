@@ -246,7 +246,8 @@ def test_classify_factors_each_operator_once(monkeypatch):
 
 def test_cesaro_norm_estimator_matches_running_means():
     # reference: the running mean formed step by step, then block norms
-    from cstar_mixing.mixing import (_block_norms, _cesaro_norm_estimator,
+    from cstar_mixing.algebra import operator_norms
+    from cstar_mixing.mixing import (_cesaro_norm_estimator,
                                      _centered_columns,
                                      _random_probe_elements)
     cfg = DEFAULT.replace(estimator_n=64, dyadic_window=8)
@@ -259,7 +260,7 @@ def test_cesaro_norm_estimator_matches_running_means():
     means = []
     for k in range(64):
         acc = acc + x
-        means.append(_block_norms(system.shape, (acc / (k + 1)).T))
+        means.append(operator_norms(system.shape, (acc / (k + 1)).T))
         x = op.matrix @ x
     assert np.allclose(wit["half"], np.max(means[24:32], axis=0), atol=1e-12)
     assert np.allclose(wit["final"], np.max(means[56:64], axis=0), atol=1e-12)

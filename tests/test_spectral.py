@@ -23,7 +23,7 @@ from cstar_mixing import (
 from cstar_mixing.config import DEFAULT
 from cstar_mixing.mixing import _corner_unital_cp
 from cstar_mixing.models import example2
-from cstar_mixing.spectral import _cesaro_from_matrix, _cluster
+from cstar_mixing.spectral import _analyse, _cluster, _cluster_labels
 
 
 def shift4():
@@ -102,14 +102,15 @@ def test_identity_spectrum():
     assert s.fixed_space_dim == 4
     assert s.peripheral == (1 + 0j,)
     assert not s.defective_peripheral
-    assert np.allclose(s.cesaro_matrix, np.eye(4), atol=1e-14)
+    assert np.allclose(cesaro_projector_spectral(op), np.eye(4), atol=1e-14)
     assert range_of_defect(op).shape == (4, 0)
 
 
 def test_defective_peripheral_detected():
-    s = spectrum(defective3())
-    assert s.defective_peripheral
-    assert s.cesaro_matrix is None
+    op = defective3()
+    assert spectrum(op).defective_peripheral
+    with pytest.raises(DefectivePeripheral):
+        cesaro_projector_spectral(op)
 
 
 def test_defective_peripheral_raises():
@@ -200,7 +201,9 @@ def test_near_degenerate_eigenvalues_cluster():
 
 
 def _cluster_reference(eigs, radius):
-    """Greedy chain clustering with merges until stable."""
+    """Greedy chain clustering with merges until stable; clusters ordered by
+    the real parts of their centers, and by imaginary part within runs of
+    centers whose real parts lie within radius of their neighbours."""
     pts = eigs[np.lexsort((eigs.imag, eigs.real))]
     groups = []
     for lam in pts:
@@ -221,7 +224,15 @@ def _cluster_reference(eigs, radius):
                     break
             if merged:
                 break
-    return [(complex(np.mean(g)), len(g)) for g in groups]
+    clusters = sorted(((complex(np.mean(g)), len(g)) for g in groups),
+                      key=lambda c: c[0].real)
+    bands = []
+    for c in clusters:
+        if bands and c[0].real - bands[-1][-1][0].real <= radius:
+            bands[-1].append(c)
+        else:
+            bands.append([c])
+    return [c for band in bands for c in sorted(band, key=lambda c: c[0].imag)]
 
 
 def _tensor_square_eigs(blocks, kraus, seed):
@@ -241,6 +252,23 @@ def test_cluster_matches_greedy_merge_reference(eigs):
     ref = _cluster_reference(eigs, radius)
     assert [k for _, k in got] == [k for _, k in ref]
     assert max(abs(a - b) for (a, _), (b, _) in zip(got, ref)) <= 1e-14
+
+
+def test_conjugate_clusters_keep_their_order_under_rounding():
+    # the real parts of a conjugate pair agree only up to rounding; which
+    # of the two has the smaller one must not decide the order
+    radius = DEFAULT.tol_cluster
+    w = np.exp(2j * np.pi / 3)
+    orders = []
+    for eps in (1e-16, -1e-16):
+        eigs = np.array([1.0, w + eps, np.conj(w) - eps, 0.2])
+        assert eigs[1].real != eigs[2].real
+        labels, clusters = _cluster_labels(eigs, radius)
+        orders.append(clusters)
+        assert [clusters[i][0] for i in labels] == list(eigs)
+    for clusters in orders:
+        centers = [c for c, _ in clusters]
+        assert np.max(np.abs(np.subtract(centers, [np.conj(w), w, 0.2, 1.0]))) <= 1e-15
 
 
 def test_cluster_joins_chains():
@@ -302,8 +330,6 @@ def test_spectrum_is_memoized_per_operator_and_config():
 def test_memoized_arrays_are_read_only():
     op = random_unital_cp(AlgebraShape([2]), 2, seed=4)
     with pytest.raises(ValueError):
-        spectrum(op).cesaro_matrix[0, 0] = 0.0
-    with pytest.raises(ValueError):
         cesaro_projector_spectral(op)[0, 0] = 0.0
     with pytest.raises(ValueError):
         power_limit(chain2()).limit[0, 0] = 0.0
@@ -325,5 +351,5 @@ def _cesaro_reference(m, tol=DEFAULT.tol_cluster):
                                           ([1, 2], 4), ([2, 2], 2)])
 def test_triangular_sylvester_matches_general_solver(blocks, kraus):
     op = random_unital_cp(AlgebraShape(blocks), kraus, seed=len(blocks) + kraus)
-    got = _cesaro_from_matrix(op.matrix, DEFAULT)
+    got = _analyse(op.matrix, DEFAULT).cesaro()
     assert np.max(np.abs(got - _cesaro_reference(op.matrix))) <= 1e-10
