@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -104,12 +104,14 @@ def transpose_permutation(shape: AlgebraShape) -> np.ndarray:
     return perm
 
 
-def _fold_singular_values(shape: AlgebraShape, stacked: np.ndarray,
-                          ufunc: np.ufunc) -> np.ndarray:
-    """The singular values of all blocks folded by ``ufunc`` (np.maximum or
-    np.add), for each vector along the last axis of ``stacked``; leading
-    axes are kept. One stacked SVD per block side; the singular value of a
-    1x1 block is the modulus of its entry."""
+def _fold_block_values(shape: AlgebraShape, stacked: np.ndarray,
+                       values: Callable[[np.ndarray], np.ndarray],
+                       ufunc: np.ufunc) -> np.ndarray:
+    """Per-block values folded by ``ufunc`` (np.maximum or np.add), for each
+    vector along the last axis of ``stacked``; leading axes are kept.
+    ``values`` maps a stack (..., k, n, n) of the blocks of one side n > 1
+    to their values (..., k, n), so there is one batched LAPACK call per
+    block side; the value of a 1x1 block is the modulus of its entry."""
     lead = stacked.shape[:-1]
     out = None
     for n, idx in _side_classes(shape):
@@ -121,22 +123,41 @@ def _fold_singular_values(shape: AlgebraShape, stacked: np.ndarray,
                 *lead, -1, n, n).swapaxes(-1, -2)
         else:
             seg = stacked[..., idx]
-        s = np.abs(seg) if n == 1 else np.linalg.svd(seg, compute_uv=False)
+        s = np.abs(seg) if n == 1 else values(seg)
         part = ufunc.reduce(s.reshape(*lead, -1), axis=-1)
         out = part if out is None else ufunc(out, part)
     return out
 
 
+def _singular_values(seg: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(seg, compute_uv=False)
+
+
+def _eigenvalue_moduli(seg: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.eigvalsh(seg))
+
+
 def operator_norms(shape: AlgebraShape, stacked: np.ndarray) -> np.ndarray:
     """Operator norms (largest singular value over the blocks) of the
     vectorized elements along the last axis of ``stacked``."""
-    return _fold_singular_values(shape, stacked, np.maximum)
+    return _fold_block_values(shape, stacked, _singular_values, np.maximum)
+
+
+def hermitian_operator_norms(shape: AlgebraShape,
+                             stacked: np.ndarray) -> np.ndarray:
+    """``operator_norms`` of Hermitian elements: the largest eigenvalue
+    modulus over the blocks, by a stacked eigvalsh (1.75-2.2x faster than
+    the SVD on 4096 x 5 stacks of 2x2 to 4x4 blocks, 2-core OpenBLAS). Only
+    one triangle of each block is read, so the result is that of the
+    Hermitian element with that triangle; on Hermitian input the two norms
+    agree to rounding."""
+    return _fold_block_values(shape, stacked, _eigenvalue_moduli, np.maximum)
 
 
 def trace_norms(shape: AlgebraShape, stacked: np.ndarray) -> np.ndarray:
     """Trace norms (sum of the singular values of all blocks) of the
     vectorized functionals along the last axis of ``stacked``."""
-    return _fold_singular_values(shape, stacked, np.add)
+    return _fold_block_values(shape, stacked, _singular_values, np.add)
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +390,24 @@ def tensor_permutation(a: AlgebraShape, b: AlgebraShape) -> np.ndarray:
 
     Fixes the correspondence between the Kronecker product of vectorized
     elements and the vectorization of the tensor-product element under the
-    row-major block order; superoperator tensoring conjugates by it.
+    row-major block order; superoperator tensoring conjugates by it. Built
+    in one broadcast per pair of block sides.
     """
-    da, db = a.dim, b.dim
-    out = np.empty(da * db, dtype=np.intp)
-    offa, offb = a.offsets, b.offsets
-    pos = 0
-    for i, n in enumerate(a.blocks):
-        for j, m in enumerate(b.blocks):
-            side = n * m
-            # entry ((p,r),(q,s)) of kron(x_i, y_j) is x_i[p,q] * y_j[r,s]
-            p = np.arange(n)
-            q = np.arange(n)
-            r = np.arange(m)
-            s = np.arange(m)
-            P, R, Q, S = np.meshgrid(p, r, q, s, indexing="ij")
-            row = P * m + R
-            col = Q * m + S
-            tgt = pos + row + side * col
-            src = ((offa[i] + P + n * Q) * db) + (offb[j] + R + m * S)
+    db = b.dim
+    out = np.empty(a.dim * db, dtype=np.intp)
+    pos = np.reshape(a.tensor(b).offsets, (len(a.blocks), len(b.blocks)))
+    sides_a, sides_b = np.array(a.blocks), np.array(b.blocks)
+    offa, offb = np.array(a.offsets), np.array(b.offsets)
+    for n in set(a.blocks):
+        i = np.flatnonzero(sides_a == n)[:, None, None, None, None, None]
+        for m in set(b.blocks):
+            j = np.flatnonzero(sides_b == m)[:, None, None, None, None]
+            # axes (i, j, p, r, q, s): entry ((p,r),(q,s)) of kron(x_i, y_j)
+            # is x_i[p,q] * y_j[r,s]
+            p, r, q, s = np.ix_(range(n), range(m), range(n), range(m))
+            tgt = pos[i, j] + (p * m + r) + n * m * (q * m + s)
+            src = (offa[i] + p + n * q) * db + offb[j] + r + m * s
             out[tgt.reshape(-1)] = src.reshape(-1)
-            pos += side * side
     return out
 
 

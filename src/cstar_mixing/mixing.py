@@ -11,6 +11,14 @@ the absolute threshold or at most 0.75 times its value at N/2. The window
 maximum (rather than a single sample) keeps oscillating-but-decaying traces
 from passing or failing on the phase they happen to be caught at.
 
+Route C of strict weak mixing and condition (i) of the phi-ergodic
+property are one trace, the Cesàro mean of ||T^k x - phi(x) 1||;
+`classify` computes it once and hands it to both checks, as it does the
+tensor square and the exactness result. Estimator norms are operator norms
+of Hermitian elements (the probes are Hermitian, and every Markov operator
+is checked to preserve Hermiticity at construction), so they are taken as
+the largest eigenvalue modulus by eigvalsh rather than by an SVD.
+
 Verifier ensembles draw seeded unital CP channels with a cycling Kraus
 count (1, 2, 3, 4), so unitary conjugations and properly dissipative
 channels both appear. The invariant state is always taken to be the
@@ -36,7 +44,7 @@ from .algebra import (
     Functional,
     functional_norm,
     hermitian_basis_matrix,
-    operator_norms,
+    hermitian_operator_norms,
     product_pairing_matrix,
     random_hermitian_element,
     random_functional,
@@ -431,13 +439,14 @@ def _centered_columns(sys: DynamicalSystem, xs: list[AlgebraElement]) -> np.ndar
 
 
 def _orbit_norm_series(sys: DynamicalSystem, x0: np.ndarray, n: int) -> np.ndarray:
-    """w[k, j] = ||T^k applied to column j|| for k < n (operator norm)."""
+    """w[k, j] = ||T^k applied to column j|| for k < n (operator norm); the
+    columns are Hermitian, and T preserves Hermiticity."""
     d, m = x0.shape
     s, layout, strides = _orbit(sys.operator, x0, n)
     traj = np.empty((n, m, d), dtype=complex)
     for b, x in zip(range(0, n, s), strides):
         traj[b:b + s] = layout.columns_out(x).T.reshape(s, m, d)
-    return operator_norms(sys.shape, traj)
+    return hermitian_operator_norms(sys.shape, traj)
 
 
 def _mean_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
@@ -480,7 +489,7 @@ def _cesaro_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     # the 2w sampled means leave the working layout together, for one
     # stacked norm computation
     stacked = layout.columns_out(np.concatenate(samples, axis=1))
-    norms = operator_norms(sys.shape, stacked.T.reshape(2 * w, m, d))
+    norms = hermitian_operator_norms(sys.shape, stacked.T.reshape(2 * w, m, d))
     half = norms[:w].max(axis=0)
     full = norms[w:].max(axis=0)
     ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
@@ -505,8 +514,8 @@ def _power_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     xs = _random_probe_elements(sys, rng, cfg)
     x0 = _centered_columns(sys, xs)
     p_half, p_full = _matrix_power_pair(sys.operator.matrix, cfg.exact_power_n)
-    v_half = operator_norms(sys.shape, (p_half @ x0).T)
-    v_full = operator_norms(sys.shape, (p_full @ x0).T)
+    v_half = hermitian_operator_norms(sys.shape, (p_half @ x0).T)
+    v_full = hermitian_operator_norms(sys.shape, (p_full @ x0).T)
     ok = _dyadic_passes(v_half, v_full, cfg.estimator_abs, cfg)
     return ok, {"at_half": [float(v) for v in v_half],
                 "at_full": [float(v) for v in v_full]}
@@ -687,17 +696,16 @@ def _weakly_mixing(sys: DynamicalSystem, ts: DynamicalSystem | None,
 
 
 def _swm_routes(sys: DynamicalSystem, ts: DynamicalSystem | None,
-                config: Config, seed: int):
+                config: Config, seed: int, norms: tuple[bool, dict]):
     """The three strictly-weak-mixing routes, evaluated independently; ts is
-    the tensor square (None without verified complete positivity)."""
+    the tensor square (None without verified complete positivity), norms
+    the ``_mean_norm_estimator`` result that is route C."""
     a, wit = _swm_spectral(sys, config)
     if ts is not None:
         b: bool | Unsupported = check_strictly_ergodic(ts, config, seed=seed + 1).verdict
     else:
         b = Unsupported("tensor route requires verified complete positivity")
-    rng = np.random.default_rng(seed)
-    c, trace = _mean_norm_estimator(sys, rng, config)
-    wit["estimator"] = trace
+    c, wit["estimator"] = norms
     return a, b, c, wit
 
 
@@ -709,15 +717,21 @@ def check_strictly_weak_mixing(sys: DynamicalSystem, config: Config = DEFAULT,
     projector); route B is strict ergodicity of the tensor square (skipped
     as unsupported without verified complete positivity); route C is the
     Cesàro mean of ||T^k x - phi(x) 1||, which dominates the sup-over-
-    functionals criterion. All decided routes must agree.
+    functionals criterion. All decided routes must agree. Route C is the
+    same trace as condition (i) of check_phi_ergodic_equiv; ``classify``
+    computes it once for both.
     """
-    return _strictly_weak_mixing(sys, _tensor_square(sys, config), config, seed)
+    norms = _mean_norm_estimator(sys, np.random.default_rng(seed), config)
+    return _strictly_weak_mixing(sys, _tensor_square(sys, config), config,
+                                 seed, norms)
 
 
 def _strictly_weak_mixing(sys: DynamicalSystem, ts: DynamicalSystem | None,
-                          config: Config, seed: int) -> CheckResult:
-    """check_strictly_weak_mixing on a tensor square built by the caller."""
-    a, b, c, wit = _swm_routes(sys, ts, config, seed)
+                          config: Config, seed: int,
+                          norms: tuple[bool, dict]) -> CheckResult:
+    """check_strictly_weak_mixing on a tensor square and a route-C trace
+    computed by the caller."""
+    a, b, c, wit = _swm_routes(sys, ts, config, seed, norms)
     decided = [a, c] + ([b] if isinstance(b, bool) else [])
     if any(v != a for v in decided):
         raise MethodDisagreement(
@@ -755,23 +769,44 @@ def check_phi_ergodic_equiv(sys: DynamicalSystem, config: Config = DEFAULT,
     verdict reports. The observable scaffolding is still exercised: the
     Cesàro-of-norms trace (i), the power-norm trace (ii), and weak power
     convergence against random states (iv) must satisfy (i) iff (ii), and
-    (ii) implies (iv); a breach raises ImplicationViolation.
+    (ii) implies (iv); a breach raises ImplicationViolation. Condition (i)
+    is the same trace as route C of check_strictly_weak_mixing; ``classify``
+    computes it, and the exactness result, once for both checks.
     """
-    exact_res = check_exact(sys, config, seed=seed)
+    norms = _mean_norm_estimator(sys, np.random.default_rng(seed), config)
+    return _phi_ergodic_equiv(sys, config, seed, check_exact(sys, config, seed),
+                              norms)
+
+
+def _observed_conditions(sys: DynamicalSystem, config: Config, seed: int,
+                         norms: tuple[bool, dict]) -> tuple[dict, dict, bool]:
+    """Observed verdicts, traces, and whether they keep (i) iff (ii) and
+    (ii) implies (iv): (i) is ``norms``, (ii) power norm and (iv) weak power
+    are drawn from a fresh ``seed + 2`` generator."""
     rng = np.random.default_rng(seed + 2)
-    obs_i, tr_i = _mean_norm_estimator(sys, rng, config)
-    obs_ii, tr_ii = _power_norm_estimator(sys, rng, config)
-    obs_iv, tr_iv = _weak_power_estimator(sys, rng, config)
-    if obs_i != obs_ii or (obs_ii and not obs_iv):
+    results = {"cesaro_of_norms": norms,
+               "power_norm": _power_norm_estimator(sys, rng, config),
+               "weak_power": _weak_power_estimator(sys, rng, config)}
+    observed = {k: ok for k, (ok, _) in results.items()}
+    traces = {k: tr for k, (_, tr) in results.items()}
+    i, ii, iv = observed.values()
+    return observed, traces, i == ii and (iv or not ii)
+
+
+def _phi_ergodic_equiv(sys: DynamicalSystem, config: Config, seed: int,
+                       exact_res: CheckResult,
+                       norms: tuple[bool, dict]) -> CheckResult:
+    """check_phi_ergodic_equiv on an exactness result and a condition-(i)
+    trace computed by the caller."""
+    observed, traces, holds = _observed_conditions(sys, config, seed, norms)
+    if not holds:
         raise ImplicationViolation(
             f"observed condition pattern breaks the proven implications: "
-            f"cesaro-of-norms={obs_i}, power-norm={obs_ii}, weak-power={obs_iv}")
-    wit = {"observed": {"cesaro_of_norms": obs_i, "power_norm": obs_ii,
-                        "weak_power": obs_iv},
-           "traces": {"cesaro_of_norms": tr_i, "power_norm": tr_ii,
-                      "weak_power": tr_iv}}
-    routes = {"exact": exact_res.verdict, "observed_power_norm": obs_ii}
-    return CheckResult(exact_res.verdict, routes, wit)
+            f"{observed}")
+    routes = {"exact": exact_res.verdict,
+              "observed_power_norm": observed["power_norm"]}
+    return CheckResult(exact_res.verdict, routes,
+                       {"observed": observed, "traces": traces})
 
 
 def check_peripheral_obstruction(sys: DynamicalSystem,
@@ -832,25 +867,37 @@ def classify(sys: DynamicalSystem, config: Config = DEFAULT,
     The tensor square T (x) T is built once per call, when the weak-mixing
     check first needs it, shared with the tensor route of strict weak
     mixing, and dropped on return; nothing of it is kept on the system.
+    The same holds for the Cesàro-of-norms trace, route C of strict weak
+    mixing and condition (i) of phi_ergodic_equiv, and the exactness
+    result, which phi_ergodic_equiv reads instead of recomputing it.
     """
     verdicts: dict = {}
     witnesses: dict = {}
     agreement: dict = {}
+    results: dict = {}
 
     square = functools.cache(lambda: _tensor_square(sys, config))
+    # drawn at the strict-weak-mixing seed; ``seeds`` is set below, before
+    # any check runs
+    norms = functools.cache(lambda: _mean_norm_estimator(
+        sys, np.random.default_rng(seeds["strictly_weak_mixing"]), config))
     checks = (
         ("ergodic", check_ergodic),
         ("strictly_ergodic", check_strictly_ergodic),
         ("weakly_mixing",
          lambda s, c, seed: _weakly_mixing(s, square(), c, seed)),
         ("strictly_weak_mixing",
-         lambda s, c, seed: _strictly_weak_mixing(s, square(), c, seed)),
+         lambda s, c, seed: _strictly_weak_mixing(s, square(), c, seed,
+                                                  norms())),
         ("exact", check_exact),
-        ("phi_ergodic_equiv", check_phi_ergodic_equiv),
+        ("phi_ergodic_equiv",
+         lambda s, c, seed: _phi_ergodic_equiv(s, c, seed, results["exact"],
+                                               norms())),
     )
-    for offset, (name, fn) in enumerate(checks):
+    seeds = {name: seed + 10 * offset for offset, (name, _) in enumerate(checks)}
+    for name, fn in checks:
         try:
-            res = fn(sys, config, seed=seed + 10 * offset)
+            res = fn(sys, config, seed=seeds[name])
         except RequiresCP as e:
             verdicts[name] = Unsupported(str(e))
             agreement[name] = {"routes": {}, "agreed": True}
@@ -861,6 +908,7 @@ def classify(sys: DynamicalSystem, config: Config = DEFAULT,
                                "detail": str(e)}
             e.report = MixingReport(verdicts, witnesses, agreement, config, seed)
             raise
+        results[name] = res
         verdicts[name] = res.verdict
         witnesses[name] = res.witnesses
         agreement[name] = {"routes": res.routes, "agreed": True}
@@ -917,7 +965,9 @@ def _trial_thm_3_2(sys, config, seed):
 
 
 def _trial_thm_4_3(sys, config, seed):
-    a, b, c, _ = _swm_routes(sys, _tensor_square(sys, config), config, seed)
+    norms = _mean_norm_estimator(sys, np.random.default_rng(seed), config)
+    a, b, c, _ = _swm_routes(sys, _tensor_square(sys, config), config, seed,
+                             norms)
     sides = {"spectral": a, "tensor_strict_ergodic": b, "norm_cesaro": c}
     decided = [v for v in (a, b, c) if isinstance(v, bool)]
     return len(set(decided)) == 1, sides
@@ -941,21 +991,18 @@ def _trial_prop_4_4(sys, config, seed):
 
 
 def _trial_thm_4_6(sys, config, seed):
-    rng = np.random.default_rng(seed)
-    obs_i, _ = _mean_norm_estimator(sys, rng, config)
-    obs_ii, _ = _power_norm_estimator(sys, rng, config)
-    obs_iv, _ = _weak_power_estimator(sys, rng, config)
+    norms = _mean_norm_estimator(sys, np.random.default_rng(seed), config)
+    observed, _, holds = _observed_conditions(sys, config, seed, norms)
     swm, _ = _swm_spectral(sys, config)
     exact, _ = _exact_spectral(sys, config)
-    sides = {"cesaro_of_norms": obs_i, "power_norm": obs_ii,
-             "weak_power": obs_iv, "swm_spectral": swm, "exact_spectral": exact}
-    ok = (obs_i == obs_ii) and ((not obs_ii) or obs_iv) and (swm == exact)
-    return ok, sides
+    sides = {**observed, "swm_spectral": swm, "exact_spectral": exact}
+    return holds and swm == exact, sides
 
 
 def _trial_remark(sys, config, seed):
     ts = _tensor_square(sys, config)
-    swm = _strictly_weak_mixing(sys, ts, config, seed).verdict
+    norms = _mean_norm_estimator(sys, np.random.default_rng(seed), config)
+    swm = _strictly_weak_mixing(sys, ts, config, seed, norms).verdict
     wm = _weakly_mixing(sys, ts, config, seed + 5).verdict
     sides = {"strictly_weak_mixing": swm, "weakly_mixing": wm}
     return (not swm) or wm is True, sides

@@ -10,13 +10,16 @@ from cstar_mixing.algebra import (
     functional_norm,
     hermitian_basis,
     hermitian_basis_matrix,
+    hermitian_operator_norms,
     jordan_decompose,
     operator_norm,
     operator_norms,
     product_pairing_matrix,
     random_element,
     random_functional,
+    random_hermitian_element,
     random_state,
+    tensor_permutation,
     trace_norms,
 )
 from cstar_mixing.errors import NotHermitian, ShapeMismatch
@@ -305,3 +308,65 @@ def test_batched_norms_match_blockwise_norms(shape, seed):
     x, y, psi, tau = elems
     assert [operator_norm(x), operator_norm(y)] == list(ops[:2])
     assert [functional_norm(psi), functional_norm(tau)] == list(traces[2:])
+
+
+# 1x1 blocks next to larger ones: moduli and eigvalsh in one fold
+MIXED_SHAPES = st.lists(st.integers(1, 3), min_size=0, max_size=3).map(
+    lambda sides: AlgebraShape([1, *sides, 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(MIXED_SHAPES, SEEDS)
+def test_hermitian_operator_norms_match_the_svd(shape, seed):
+    rng = np.random.default_rng(seed)
+    stacked = np.stack([
+        random_hermitian_element(shape, rng, normalized=False).vec()
+        for _ in range(6)]).reshape(2, 3, shape.dim)
+    fast = hermitian_operator_norms(shape, stacked)
+    assert fast.shape == (2, 3)
+    np.testing.assert_allclose(fast, operator_norms(shape, stacked),
+                               rtol=1e-12, atol=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(MIXED_SHAPES, st.integers(1, 4), SEEDS)
+def test_orbit_norms_match_the_svd_of_the_orbit(shape, kraus_count, seed):
+    # the orbit stepped one product at a time as the reference; the two
+    # orbits differ by rounding, about 1e-15 of the probe's norm (<= 1)
+    from cstar_mixing.channel import canonical_invariant_state, random_unital_cp
+    from cstar_mixing.mixing import (DynamicalSystem, _centered_columns,
+                                     _orbit_norm_series)
+    op = random_unital_cp(shape, kraus_count, seed=seed)
+    system = DynamicalSystem(op, canonical_invariant_state(op))
+    rng = np.random.default_rng(seed)
+    x = _centered_columns(system, [random_hermitian_element(shape, rng)
+                                   for _ in range(3)])
+    norms = _orbit_norm_series(system, x, 64)
+    ref = []
+    for _ in range(64):
+        ref.append(operator_norms(shape, x.T))
+        x = op.matrix @ x
+    np.testing.assert_allclose(norms, ref, rtol=1e-12, atol=1e-13)
+
+
+def _tensor_permutation_by_loop(a, b):
+    """The index built block pair by block pair, one meshgrid each."""
+    db = b.dim
+    out = np.empty(a.dim * db, dtype=np.intp)
+    pos = 0
+    for i, n in enumerate(a.blocks):
+        for j, m in enumerate(b.blocks):
+            P, R, Q, S = np.meshgrid(np.arange(n), np.arange(m), np.arange(n),
+                                     np.arange(m), indexing="ij")
+            tgt = pos + P * m + R + n * m * (Q * m + S)
+            src = ((a.offsets[i] + P + n * Q) * db) + (b.offsets[j] + R + m * S)
+            out[tgt.reshape(-1)] = src.reshape(-1)
+            pos += (n * m) ** 2
+    return out
+
+
+@pytest.mark.parametrize("a, b", [((2, 3), (1, 1, 2)), ((1,) * 12, (1,) * 12)])
+def test_tensor_permutation_matches_the_blockwise_loop(a, b):
+    a, b = AlgebraShape(a), AlgebraShape(b)
+    assert np.array_equal(tensor_permutation(a, b),
+                          _tensor_permutation_by_loop(a, b))

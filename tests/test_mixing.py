@@ -244,6 +244,38 @@ def test_classify_factors_each_operator_once(monkeypatch):
     assert counts["svd"] <= 13
 
 
+@pytest.mark.parametrize("make", [
+    lambda: sys_for(random_unital_cp(AlgebraShape([4]), 3, seed=3)),
+    lambda: example2(12, 5)[0],
+], ids=["random-4-kraus-3", "example2"])
+def test_classify_runs_each_shared_estimator_once(monkeypatch, make):
+    # route C of strict weak mixing and condition (i) of phi_ergodic_equiv
+    # are one trace, and phi_ergodic_equiv reads classify's exactness result
+    import cstar_mixing.mixing as mixing
+    system = make()
+    counts = {"_mean_norm_estimator": 0, "_dual_power_estimator": 0}
+    for name in counts:
+        real = getattr(mixing, name)
+
+        def wrapped(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mixing, name, wrapped)
+    # no SVD of an orbit stack: the estimators' norms of Hermitian elements
+    # go through eigvalsh, so every SVD holds fewer matrices than an orbit
+    # has steps
+    stacks = []
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        stacks.append(int(np.prod(np.shape(a)[:-2])))
+        return real_svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    classify(system)
+    assert counts == {"_mean_norm_estimator": 1, "_dual_power_estimator": 1}
+    assert max(stacks) < DEFAULT.estimator_n
+
+
 def test_cesaro_norm_estimator_matches_running_means():
     # reference: the running mean formed step by step, then block norms
     from cstar_mixing.algebra import operator_norms
