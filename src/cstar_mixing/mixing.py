@@ -10,6 +10,11 @@ a trace counts as vanishing when its trailing-window maximum at N is below
 the absolute threshold or at most 0.75 times its value at N/2. The window
 maximum (rather than a single sample) keeps oscillating-but-decaying traces
 from passing or failing on the phase they happen to be caught at.
+The linear estimators (the signed Cesàro means and the norm of the Cesàro
+mean) read only the orbit sums at the trace checkpoints and in those two
+windows, which dyadic doubling gives in about 2 log2 N products; only the
+estimators that need every step (the correlation modulus and the mean of
+norms) walk the orbit, in strides of up to 64 steps per product.
 
 Route C of strict weak mixing and condition (i) of the phi-ergodic
 property are one trace, the Cesàro mean of ||T^k x - phi(x) 1||;
@@ -234,29 +239,37 @@ def _dyadic_passes(half: np.ndarray, full: np.ndarray, tol: float,
     return bool(np.all((full <= tol) | (full <= cfg.dyadic_factor * half)))
 
 
-def _window_maxes(running: np.ndarray, n: int, cfg: Config) -> tuple[np.ndarray, np.ndarray]:
-    """Trailing-window maxima of the per-pair running trace at N/2 and N."""
-    w = min(cfg.dyadic_window, n // 2)
-    half = running[n // 2 - w:n // 2].max(axis=0)
-    full = running[n - w:].max(axis=0)
-    return half, full
+def _checkpoints(n: int) -> list[int]:
+    """Orbit lengths 8, 16, 32, ... <= n at which estimator traces are kept."""
+    return [1 << i for i in range(3, n.bit_length())]
 
 
-def _downsample(running: np.ndarray, n: int) -> dict:
-    pts = []
-    p = 8
-    while p <= n:
-        pts.append(p)
-        p *= 2
-    return {
-        "checkpoints": pts,
-        "values": [[float(v) for v in running[p - 1]] for p in pts],
-    }
+def _sample_lengths(n: int, w: int) -> np.ndarray:
+    """The orbit lengths k at which the Cesàro estimators read their means:
+    the ``_checkpoints``, then the trailing windows (n//2 - w, n//2] and
+    (n - w, n]."""
+    return np.array(_checkpoints(n) + list(range(n // 2 - w + 1, n // 2 + 1))
+                    + list(range(n - w + 1, n + 1)))
+
+
+def _read_samples(values: np.ndarray, n: int, w: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Split per-pair values at the ``_sample_lengths`` into the checkpoint
+    trace and the trailing-window maxima at N/2 and N."""
+    pts = _checkpoints(n)
+    c = len(pts)
+    trace = {"checkpoints": pts,
+             "values": [[float(v) for v in row] for row in values[:c]]}
+    return trace, values[c:c + w].max(axis=0), values[c + w:].max(axis=0)
 
 
 def _random_probe_elements(sys: DynamicalSystem, rng: np.random.Generator,
                            cfg: Config) -> list[AlgebraElement]:
-    return [random_hermitian_element(sys.shape, rng) for _ in range(cfg.estimator_pairs)]
+    """Random Hermitian elements of unit operator norm, drawn as
+    ``random_hermitian_element`` draws them and scaled by one batched norm."""
+    hs = [random_hermitian_element(sys.shape, rng, normalized=False)
+          for _ in range(cfg.estimator_pairs)]
+    norms = hermitian_operator_norms(sys.shape, np.stack([h.vec() for h in hs]))
+    return [h * (1.0 / nrm) if nrm > 0 else h for h, nrm in zip(hs, norms)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,11 +296,12 @@ class _OrbitLayout:
         return _OrbitLayout(left.matrix, right.matrix,
                             tensor_permutation(left.shape, right.shape))
 
-    def power(self, s: int) -> "_OrbitLayout":
-        """The same layout stepping by T^s."""
-        a = np.linalg.matrix_power(self.a, s)
+    def squared(self) -> "_OrbitLayout":
+        """The same layout stepping by T^2; the factors are squared apart,
+        so no D^2 x D^2 matrix is formed for a product."""
+        a = self.a @ self.a
         b = None if self.b is None else (
-            a if self.b is self.a else np.linalg.matrix_power(self.b, s))
+            a if self.b is self.a else self.b @ self.b)
         return _OrbitLayout(a, b, self.perm)
 
     @property
@@ -314,10 +328,12 @@ class _OrbitLayout:
         return kron.reshape(-1, da, db)
 
     def columns_out(self, x: np.ndarray) -> np.ndarray:
-        da, cols, db = x.shape
+        """Columns X of shape (da, ..., db) as vectors along the first axis,
+        (da * db, ...), with the middle axes kept."""
+        da, *cols, db = x.shape
         if self.perm is None:
-            return x.reshape(da, cols)
-        return x.transpose(0, 2, 1).reshape(da * db, cols)[self.perm]
+            return x.reshape(da, *cols)
+        return np.moveaxis(x, -1, 1).reshape(da * db, *cols)[self.perm]
 
     def step(self, x: np.ndarray) -> np.ndarray:
         da, cols, db = x.shape
@@ -327,23 +343,95 @@ class _OrbitLayout:
         return (y.reshape(da * cols, db) @ self.b.T).reshape(da, cols, db)
 
 
-def _orbit(op: MarkovOperator, x0: np.ndarray, n: int):
-    """The orbit of the probe columns x0 under T, s steps per product.
+def _dyadic_powers(layout: _OrbitLayout):
+    """i -> the layout stepping by T^(2^i), each squared once from the last."""
+    powers = [layout]
 
-    Returns (s, layout, strides). ``strides`` yields, for b = 0, s, ...,
-    n - s, the widened block [T^b x0 | T^(b+1) x0 | ... | T^(b+s-1) x0] in
-    the layout's (da, s*m, db) form; stepping it by T^s gives s steps per
-    product instead of one.
+    def power(i: int) -> _OrbitLayout:
+        while len(powers) <= i:
+            powers.append(powers[-1].squared())
+        return powers[i]
+    return power
+
+
+def _widen(power, x: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` orbit elements [x | T x | ... | T^(width-1) x] of
+    moved-in columns x, by widening Y_2j = [Y_j | T^j Y_j]: one product per
+    doubling, ``power`` as from ``_dyadic_powers``."""
+    m = x.shape[1]
+    y, i = x, 0
+    while (1 << i) < width:
+        j = 1 << i
+        y = np.concatenate(
+            [y, power(i).step(y[:, :min(j, width - j) * m])], axis=1)
+        i += 1
+    return y
+
+
+def _orbit_sums(op: MarkovOperator, x0: np.ndarray, n: int,
+                w: int) -> tuple[np.ndarray, _OrbitLayout, np.ndarray]:
+    """Orbit sums S_k = sum_{j<k} T^j x0 by dyadic doubling, as (ks, layout,
+    sums) with ks = ``_sample_lengths(n, w)``, 1 <= w <= n//2, and sums of
+    shape (da, K, m, db) in the layout: ``layout.columns_out(sums)[:, i]``
+    is S_ks[i]. Pairing rows with ``layout.rows_in`` needs no move out.
+
+    The first w orbit elements Y_w come from ``_widen``; their prefix sums
+    give S_1 .. S_w, and S_2j = S_j + T^j S_j the dyadic sums up to n. The
+    pair Z_c = [S_c | T^c Y_w] moves to Z_(c+b) one set bit 2^i of b at a
+    time, by T^(2^i) and then S_(2^i) added to its first part; the window
+    sums are S_c plus the prefix sums of T^c Y_w, at c = n//2 - w and
+    c = n - w. That is about 2 log2 n products for any n, each on
+    factor-sized matrices for a tensor square, and no (n, ...) array.
     """
     layout = _OrbitLayout.of(op)
-    s = 8 if n % 8 == 0 else 1
-    blocks = [layout.columns_in(x0)]
-    for _ in range(s - 1):
-        blocks.append(layout.step(blocks[-1]))
-    stride = layout.power(s)
+    power = _dyadic_powers(layout)
+    x = layout.columns_in(x0)
+    da, m, db = x.shape
+    window = _widen(power, x, w)
+    sums = [window.reshape(da, w, m, db)[:, :1 << i].sum(axis=1)
+            for i in range(w.bit_length())]
+    while 1 << len(sums) <= n:
+        s = sums[-1]
+        sums.append(s + power(len(sums) - 1).step(s))
+
+    pts = _checkpoints(n)
+    c = len(pts)
+    ks = _sample_lengths(n, w)
+    out = np.empty((da, ks.size, m, db), dtype=complex)
+    for i, p in enumerate(pts):
+        out[:, i] = sums[p.bit_length() - 1]
+    z = np.concatenate([np.zeros_like(x), window], axis=1)
+    for start, by in ((c, n // 2 - w), (c + w, n - n // 2)):
+        for i in range(by.bit_length()):
+            if by >> i & 1:
+                z = power(i).step(z)
+                z[:, :m] += sums[i]
+        part = out[:, start:start + w]
+        np.cumsum(z[:, m:].reshape(da, w, m, db), axis=1, out=part)
+        part += z[:, None, :m]
+    return ks, layout, out
+
+
+def _orbit(op: MarkovOperator, x0: np.ndarray, n: int):
+    """Every element T^k x0, k < n, of the orbit of the probe columns x0,
+    for the estimators that read each k (``_eq2`` and ``_mean_norm``); the
+    linear ones read ``_orbit_sums``.
+
+    Returns (s, layout, strides) with stride s = min(64, n & -n), the
+    largest power of two up to 64 that divides n. ``strides`` yields, for
+    b = 0, s, ..., n - s, the block [T^b x0 | T^(b+1) x0 | ... |
+    T^(b+s-1) x0] in the layout's (da, s*m, db) form. The first block is
+    built by ``_widen`` and each next one by one step of T^s, so the orbit
+    takes about n/s products.
+    """
+    layout = _OrbitLayout.of(op)
+    power = _dyadic_powers(layout)
+    s = min(64, n & -n)
+    first = _widen(power, layout.columns_in(x0), s)
+    stride = power(s.bit_length() - 1)
 
     def strides():
-        x = np.concatenate(blocks, axis=1)
+        x = first
         yield x
         for _ in range(n // s - 1):
             x = stride.step(x)
@@ -352,10 +440,11 @@ def _orbit(op: MarkovOperator, x0: np.ndarray, n: int):
 
 
 def _correlation_running(sys: DynamicalSystem, rows: np.ndarray,
-                         consts: np.ndarray, x0: np.ndarray, n: int,
-                         keep_series: bool = False):
-    """Per-step values a_k[j] = rows[j] . T^k x_j - consts[j], plus the
-    running absolute means |sum a / k|. Columns of x0 are the probes."""
+                         consts: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
+    """The correlation series a_k[j] = rows[j] . T^k x_j - consts[j] for
+    every k < n, as an (n, m) array; columns of x0 are the probes. Only
+    ``_eq2`` needs every k; the Cesàro means of the linear estimators come
+    from ``_orbit_sums``."""
     m = x0.shape[1]
     s, layout, strides = _orbit(sys.operator, x0, n)
     rows_wide = layout.rows_in(np.tile(rows, (s, 1)))
@@ -366,15 +455,13 @@ def _correlation_running(sys: DynamicalSystem, rows: np.ndarray,
         pairings[b] = np.einsum("jab,ajb->j", rows_wide, x)
     series = pairings.reshape(n, m)
     series -= consts
-    running = np.abs(np.cumsum(series, axis=0))
-    running /= np.arange(1, n + 1)[:, None]
-    return running, (series if keep_series else None)
+    return series
 
 
 def _correlation_probes(sys: DynamicalSystem, rng: np.random.Generator,
                         cfg: Config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random pairs (x_j, y_j) as the arguments of ``_correlation_running``:
-    rows phi(y_j .), constants phi(y_j) phi(x_j), columns vec(x_j)."""
+    """Random pairs (x_j, y_j) as correlation arguments: rows phi(y_j .),
+    constants phi(y_j) phi(x_j), columns vec(x_j)."""
     xs = _random_probe_elements(sys, rng, cfg)
     ys = _random_probe_elements(sys, rng, cfg)
     phi = sys.state
@@ -386,16 +473,25 @@ def _correlation_probes(sys: DynamicalSystem, rng: np.random.Generator,
     return rows, consts, x0
 
 
+def _signed_means(sys: DynamicalSystem, rows: np.ndarray, consts: np.ndarray,
+                  x0: np.ndarray, cfg: Config) -> tuple[dict, np.ndarray, np.ndarray]:
+    """|(1/k) sum_{j<k} rows[i] . T^j x_i - consts[i]| at the ``_orbit_sums``
+    lengths, read out by ``_read_samples``."""
+    n = cfg.estimator_n
+    w = min(cfg.dyadic_window, n // 2)
+    ks, layout, sums = _orbit_sums(sys.operator, x0, n, w)
+    k = ks[:, None]
+    paired = np.einsum("iab,akib->ki", layout.rows_in(rows), sums)
+    means = np.abs(paired - k * consts) / k
+    return _read_samples(means, n, w)
+
+
 def _eq1_estimator(sys: DynamicalSystem, rng: np.random.Generator,
                    cfg: Config) -> tuple[bool, dict]:
     """Signed Cesàro means of phi(y T^k x) - phi(y) phi(x), random pairs."""
-    rows, consts, x0 = _correlation_probes(sys, rng, cfg)
-    n = cfg.estimator_n
-    running, _ = _correlation_running(sys, rows, consts, x0, n)
-    half, full = _window_maxes(running, n, cfg)
+    trace, half, full = _signed_means(sys, *_correlation_probes(sys, rng, cfg), cfg)
     ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
-    return ok, {"trace": _downsample(running, n),
-                "final": [float(v) for v in full]}
+    return ok, {"trace": trace, "final": [float(v) for v in full]}
 
 
 def _eq2_estimator(sys: DynamicalSystem, rng: np.random.Generator,
@@ -406,7 +502,7 @@ def _eq2_estimator(sys: DynamicalSystem, rng: np.random.Generator,
 
     rows, consts, x0 = _correlation_probes(sys, rng, cfg)
     n = cfg.estimator_n
-    _, series = _correlation_running(sys, rows, consts, x0, n, keep_series=True)
+    series = _correlation_running(sys, rows, consts, x0, n)
     verdicts, finals = [], []
     for j in range(series.shape[1]):
         rec = check_kvn_equivalence(BoundedSequence(np.abs(series[:, j])),
@@ -424,11 +520,9 @@ def _state_mean_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     rows = np.stack([p.row() for p in psis])
     consts = np.array([sys.state(x) for x in xs])
     x0 = np.column_stack([x.vec() for x in xs])
-    n = cfg.estimator_n
-    running, _ = _correlation_running(sys, rows, consts, x0, n)
-    half, full = _window_maxes(running, n, cfg)
+    trace, half, full = _signed_means(sys, rows, consts, x0, cfg)
     ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
-    return ok, {"trace": _downsample(running, n)}
+    return ok, {"trace": trace}
 
 
 def _centered_columns(sys: DynamicalSystem, xs: list[AlgebraElement]) -> np.ndarray:
@@ -456,12 +550,12 @@ def _mean_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     xs = _random_probe_elements(sys, rng, cfg)
     x0 = _centered_columns(sys, xs)
     n = cfg.estimator_n
-    w = _orbit_norm_series(sys, x0, n)
-    running = np.cumsum(w, axis=0) / np.arange(1, n + 1)[:, None]
-    half, full = _window_maxes(running, n, cfg)
+    w = min(cfg.dyadic_window, n // 2)
+    norms = _orbit_norm_series(sys, x0, n)
+    running = np.cumsum(norms, axis=0) / np.arange(1, n + 1)[:, None]
+    trace, half, full = _read_samples(running[_sample_lengths(n, w) - 1], n, w)
     ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
-    return ok, {"trace": _downsample(running, n),
-                "final": [float(v) for v in full]}
+    return ok, {"trace": trace, "final": [float(v) for v in full]}
 
 
 def _cesaro_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
@@ -470,26 +564,11 @@ def _cesaro_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     xs = _random_probe_elements(sys, rng, cfg)
     x0 = _centered_columns(sys, xs)
     n = cfg.estimator_n
-    d, m = x0.shape
     w = min(cfg.dyadic_window, n // 2)
-    idx = set(range(n // 2 - w, n // 2)) | set(range(n - w, n))
-    s, layout, strides = _orbit(sys.operator, x0, n)
-    da, db = layout.sides
-    # acc holds per-phase sums over the strides so far; the running sum
-    # itself is only formed in the strides that contain a sampled index
-    acc = np.zeros((da, s * m, db), dtype=complex)
-    samples = []
-    for b, x in zip(range(0, n, s), strides):
-        hit = [t for t in range(s) if b + t in idx]
-        if hit:
-            cum = acc.reshape(da, s, m, db).sum(axis=1)
-            part = np.cumsum(x.reshape(da, s, m, db), axis=1)
-            samples += [(cum + part[:, t]) / (b + t + 1) for t in hit]
-        acc += x
-    # the 2w sampled means leave the working layout together, for one
-    # stacked norm computation
-    stacked = layout.columns_out(np.concatenate(samples, axis=1))
-    norms = hermitian_operator_norms(sys.shape, stacked.T.reshape(2 * w, m, d))
+    ks, layout, sums = _orbit_sums(sys.operator, x0, n, w)
+    # the 2w window means, moved out together for one norm computation
+    means = layout.columns_out(sums[:, -2 * w:]) / ks[-2 * w:, None]
+    norms = hermitian_operator_norms(sys.shape, means.transpose(1, 2, 0))
     half = norms[:w].max(axis=0)
     full = norms[w:].max(axis=0)
     ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)

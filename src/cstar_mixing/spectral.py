@@ -324,44 +324,25 @@ class CesaroIterate:
 
 def cesaro_projector_iterative(op: MarkovOperator, n: int, tol: float,
                                config: Config = DEFAULT) -> CesaroIterate:
-    """Running mean of T^k by repeated application, with extrapolation.
+    """Running mean of T^k by dyadic doubling, with extrapolation.
 
-    For power-of-two n the mean is built by dyadic doubling
-    (M_{2m} = (M_m + T^m M_m)/2, T^{2m} = (T^m)^2); otherwise by plain
-    accumulation. Non-convergence is reported, never raised.
+    The sums S_k of T^j over j < k come from the estimators' doubling
+    (S_2m = S_m + T^m S_m, T^2m = (T^m)^2, a general n by its binary
+    expansion), at k = n//2 and n. Non-convergence is reported, never
+    raised.
     """
+    from .mixing import _orbit_sums
+
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = op.matrix
-    D = op.dim
-    eye = np.eye(D, dtype=complex)
+    eye = np.eye(op.dim, dtype=complex)
     if n == 1:
         return CesaroIterate(matrix=eye.copy(), converged=False,
                              residual=float("inf"), raw_mean=eye.copy())
-    if n & (n - 1) == 0:
-        mean = eye.copy()           # M_1
-        step = m.copy()             # T^1
-        half = None
-        count = 1
-        while count < n:
-            half = mean
-            mean = (mean + step @ mean) / 2.0
-            step = step @ step
-            count *= 2
-        h = count // 2
-        m_half, m_full = half, mean
-    else:
-        h = n // 2
-        acc = eye.copy()
-        cur = eye.copy()
-        m_half = eye.copy() if h == 1 else None
-        for k in range(1, n):
-            cur = m @ cur
-            acc += cur
-            if k == h - 1:
-                m_half = acc / h
-        m_full = acc / n
-    assert m_half is not None
+    h = n // 2
+    _, layout, sums = _orbit_sums(op, eye, n, 1)
+    s_half, s_full = layout.columns_out(sums[:, -2:]).transpose(1, 0, 2)
+    m_half, m_full = s_half / h, s_full / n
     residual = float(np.linalg.norm(m_full - m_half, 2))
     # extrapolate the O(1/n) running-mean tail: exact for the projector part
     extrapolated = (n * m_full - h * m_half) / (n - h)

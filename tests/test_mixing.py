@@ -306,12 +306,136 @@ def test_correlation_running_matches_step_by_step():
     rows = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     consts = rng.standard_normal(3) + 0j
     x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    running, series = _correlation_running(system, rows, consts, x, 64,
-                                           keep_series=True)
-    cum = np.zeros(3, dtype=complex)
+    series = _correlation_running(system, rows, consts, x, 64)
     for k in range(64):
         a = np.einsum("jd,dj->j", rows, x) - consts
-        cum = cum + a
         assert np.allclose(series[k], a, atol=1e-12)
-        assert np.allclose(running[k], np.abs(cum) / (k + 1), atol=1e-12)
         x = op.matrix @ x
+
+
+LINEAR_SYSTEMS = {
+    "plain": lambda: sys_for(random_unital_cp(AlgebraShape([1, 2]), 2, seed=12)),
+    "tensor_square": lambda: tensor_system(
+        sys_for(random_unital_cp(AlgebraShape([2]), 3, seed=8))),
+}
+
+
+def _stepped_sums(matrix, x0, n):
+    """S_1 .. S_n of the orbit of x0, one matrix product per step."""
+    sums, acc, x = [], np.zeros_like(x0), x0
+    for _ in range(n):
+        acc = acc + x
+        sums.append(acc)
+        x = matrix @ x
+    return sums
+
+
+@pytest.mark.parametrize("kind", LINEAR_SYSTEMS)
+@pytest.mark.parametrize("n, w", [(64, 8), (100, 8), (7, 3), (31, 5), (2, 1)])
+def test_orbit_sums_match_step_by_step(kind, n, w):
+    from cstar_mixing.mixing import _orbit_sums, _sample_lengths
+    system = LINEAR_SYSTEMS[kind]()
+    x0 = np.random.default_rng(1).standard_normal((system.shape.dim, 3)) + 0j
+    ks, layout, sums = _orbit_sums(system.operator, x0, n, w)
+    assert np.array_equal(ks, _sample_lengths(n, w))
+    sums = layout.columns_out(sums)
+    want = _stepped_sums(system.operator.matrix, x0, n)
+    for i, k in enumerate(ks):
+        assert np.max(np.abs(sums[:, i] - want[k - 1])) <= 1e-12
+
+
+def _reference_trace(running, n, w):
+    """Checkpoint trace and window maxima of a full running-mean array."""
+    pts = [p for p in (8 * 2 ** i for i in range(20)) if p <= n]
+    return ([running[p - 1] for p in pts], pts,
+            running[n // 2 - w:n // 2].max(axis=0), running[n - w:].max(axis=0))
+
+
+@pytest.mark.parametrize("kind", LINEAR_SYSTEMS)
+@pytest.mark.parametrize("n", [64, 100])
+def test_linear_estimators_match_step_by_step(kind, n):
+    from cstar_mixing.algebra import operator_norms, random_state
+    from cstar_mixing.mixing import (
+        _cesaro_norm_estimator, _centered_columns, _correlation_probes,
+        _eq1_estimator, _random_probe_elements, _signed_means,
+        _state_mean_estimator)
+    system = LINEAR_SYSTEMS[kind]()
+    matrix = system.operator.matrix
+    cfg = DEFAULT.replace(estimator_n=n, dyadic_window=8)
+    ks = np.arange(1, n + 1)[:, None]
+
+    def signed_reference(rows, consts, x0):
+        sums = _stepped_sums(matrix, x0, n)
+        running = np.array([np.abs(np.einsum("jd,dj->j", rows, s) - k * consts) / k
+                            for k, s in zip(ks[:, 0], sums)])
+        return _reference_trace(running, n, 8)
+
+    def assert_trace(trace, values, pts):
+        assert trace["checkpoints"] == pts
+        assert np.max(np.abs(np.array(trace["values"]) - values)) <= 1e-12
+
+    # eq1: probe pairs (x, y), and the shared signed-mean reader's half
+    rows, consts, x0 = _correlation_probes(system, np.random.default_rng(5), cfg)
+    values, pts, half, full = signed_reference(rows, consts, x0)
+    _, wit = _eq1_estimator(system, np.random.default_rng(5), cfg)
+    assert_trace(wit["trace"], values, pts)
+    assert np.max(np.abs(np.array(wit["final"]) - full)) <= 1e-12
+    _, got_half, _ = _signed_means(system, rows, consts, x0, cfg)
+    assert np.max(np.abs(got_half - half)) <= 1e-12
+
+    # state mean: random states psi against phi(x)
+    rng = np.random.default_rng(6)
+    xs = _random_probe_elements(system, rng, cfg)
+    rows = np.stack([random_state(system.shape, rng).row() for _ in xs])
+    consts = np.array([system.state(x) for x in xs])
+    x0 = np.column_stack([x.vec() for x in xs])
+    values, pts, _, _ = signed_reference(rows, consts, x0)
+    _, wit = _state_mean_estimator(system, np.random.default_rng(6), cfg)
+    assert_trace(wit["trace"], values, pts)
+
+    # norm-Cesàro: operator norms of the running means of centred probes
+    x0 = _centered_columns(system, _random_probe_elements(
+        system, np.random.default_rng(7), cfg))
+    means = np.array([operator_norms(system.shape, (s / k).T)
+                      for k, s in zip(ks[:, 0], _stepped_sums(matrix, x0, n))])
+    _, _, half, full = _reference_trace(means, n, 8)
+    _, wit = _cesaro_norm_estimator(system, np.random.default_rng(7), cfg)
+    assert np.max(np.abs(np.array(wit["half"]) - half)) <= 1e-12
+    assert np.max(np.abs(np.array(wit["final"]) - full)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", LINEAR_SYSTEMS)
+@pytest.mark.parametrize("estimator", ["_eq1_estimator", "_state_mean_estimator",
+                                       "_cesaro_norm_estimator"])
+def test_linear_estimators_take_logarithmically_many_steps(monkeypatch, kind,
+                                                           estimator):
+    from cstar_mixing import mixing
+    system = LINEAR_SYSTEMS[kind]()
+    steps = []
+    real_step = mixing._OrbitLayout.step
+
+    def step(self, x):
+        steps.append(x.shape)
+        return real_step(self, x)
+    monkeypatch.setattr(mixing._OrbitLayout, "step", step)
+    n = DEFAULT.estimator_n
+    assert n == 4096
+    getattr(mixing, estimator)(system, np.random.default_rng(0), DEFAULT)
+    assert 0 < len(steps) <= 6 * int(np.log2(n))
+
+
+@pytest.mark.parametrize("n", [96, 100, 4096])
+def test_orbit_blocks_follow_the_stride(n):
+    from cstar_mixing.mixing import _orbit
+    system = LINEAR_SYSTEMS["tensor_square"]()
+    x0 = np.random.default_rng(2).standard_normal((system.shape.dim, 2)) + 0j
+    s, layout, strides = _orbit(system.operator, x0, n)
+    assert s == min(64, n & -n)
+    x, count = x0, 0
+    for block in strides:
+        got = layout.columns_out(block)
+        for t in range(s):
+            assert np.max(np.abs(got[:, 2 * t:2 * t + 2] - x)) <= 1e-11
+            x = system.operator.matrix @ x
+        count += 1
+    assert count == n // s
