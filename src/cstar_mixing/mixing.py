@@ -16,13 +16,17 @@ windows, which dyadic doubling gives in about 2 log2 N products; only the
 estimators that need every step (the correlation modulus and the mean of
 norms) walk the orbit, in strides of up to 64 steps per product.
 
-Route C of strict weak mixing and condition (i) of the phi-ergodic
-property are one trace, the Cesàro mean of ||T^k x - phi(x) 1||;
-`classify` computes it once and hands it to both checks, as it does the
-tensor square and the exactness result. Estimator norms are operator norms
-of Hermitian elements (the probes are Hermitian, and every Markov operator
-is checked to preserve Hermiticity at construction), so they are taken as
-the largest eigenvalue modulus by eigvalsh rather than by an SVD.
+Each property has one implementation, its public ``check_*``, which
+``classify`` and the verifier's trials call. Inside a ``_sharing()`` scope,
+``_shared(sys, name, make)`` memoizes per (system, name) what several
+checks read: the tensor square, the Cesàro mean of ||T^k x - phi(x) 1||
+(route C of strict weak mixing and condition (i) of the phi-ergodic
+property, drawn at its first reader's seed) and each check's result. The
+scope drops them on exit; outside one, ``make()`` just runs. Estimator
+norms are operator norms of Hermitian elements (the probes are Hermitian,
+and every Markov operator is checked to preserve Hermiticity at
+construction), so they are taken as the largest eigenvalue modulus by
+eigvalsh rather than by an SVD.
 
 Verifier ensembles draw seeded unital CP channels with a cycling Kraus
 count (1, 2, 3, 4), so unitary conjugations and properly dissipative
@@ -36,6 +40,8 @@ are merged in trial order, so records are reproducible either way.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -79,6 +85,7 @@ from .errors import (
     ValidationError,
 )
 from .spectral import (
+    _spectral_data,
     cesaro_projector_spectral,
     power_limit,
     range_of_defect,
@@ -172,11 +179,6 @@ def tensor_system(sys: DynamicalSystem, config: Config = DEFAULT) -> DynamicalSy
     return DynamicalSystem(big, sys.state.tensor(sys.state), config)
 
 
-def _tensor_square(sys: DynamicalSystem, config: Config) -> DynamicalSystem | None:
-    """The tensor-square system, or None without verified complete positivity."""
-    return tensor_system(sys, config) if sys.operator.is_cp_verified() else None
-
-
 @dataclass(frozen=True, eq=False)
 class CheckResult:
     verdict: bool | Unsupported
@@ -215,6 +217,38 @@ class ObstructionRecord:
     alpha: complex | None = None
     witness: Functional | None = field(default=None, repr=False)
     residual: float = 0.0
+
+
+# ---------------------------------------------------------------------------
+# per-call sharing
+# ---------------------------------------------------------------------------
+
+_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "cstar_mixing_memo", default=None)
+
+
+@contextlib.contextmanager
+def _sharing():
+    """A scope in which ``_shared`` computes each (system, name) once; on exit
+    the memo is emptied, even if a traceback still holds the dict."""
+    memo: dict = {}
+    token = _MEMO.set(memo)
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+        memo.clear()
+
+
+def _shared(sys: DynamicalSystem, name: str, make):
+    """``make()``, memoized per (system, name) inside a ``_sharing`` scope
+    and computed afresh outside one."""
+    memo = _MEMO.get()
+    if memo is None:
+        return make()
+    if (sys, name) not in memo:
+        memo[sys, name] = make()
+    return memo[sys, name]
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +592,13 @@ def _mean_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     return ok, {"trace": trace, "final": [float(v) for v in full]}
 
 
+def _norm_trace(sys: DynamicalSystem, config: Config, seed: int) -> tuple[bool, dict]:
+    """The ``_shared`` Cesàro-of-norms trace: ``_mean_norm_estimator`` at
+    ``seed``, route C of strict weak mixing and phi-ergodic condition (i)."""
+    return _shared(sys, "cesaro_of_norms", lambda: _mean_norm_estimator(
+        sys, np.random.default_rng(seed), config))
+
+
 def _cesaro_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
                            cfg: Config) -> tuple[bool, dict]:
     """||(1/k) sum T^j x - phi(x) 1|| sampled on trailing windows at N/2, N."""
@@ -587,31 +628,27 @@ def _matrix_power_pair(mat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     return p, p @ p
 
 
-def _power_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
-                          cfg: Config) -> tuple[bool, dict]:
-    """||T^n x - phi(x) 1|| at the power horizon and its dyadic predecessor."""
-    xs = _random_probe_elements(sys, rng, cfg)
-    x0 = _centered_columns(sys, xs)
+def _power_estimators(sys: DynamicalSystem, rng: np.random.Generator,
+                      cfg: Config) -> dict:
+    """(ok, trace) at the power horizon n and at n/2, from one pair of powers
+    of T, for "power_norm", ||T^n x - phi(x) 1||, then "weak_power",
+    psi(T^n x) -> phi(x) for random states psi (drawn in that order)."""
     p_half, p_full = _matrix_power_pair(sys.operator.matrix, cfg.exact_power_n)
-    v_half = hermitian_operator_norms(sys.shape, (p_half @ x0).T)
-    v_full = hermitian_operator_norms(sys.shape, (p_full @ x0).T)
-    ok = _dyadic_passes(v_half, v_full, cfg.estimator_abs, cfg)
-    return ok, {"at_half": [float(v) for v in v_half],
-                "at_full": [float(v) for v in v_full]}
-
-
-def _weak_power_estimator(sys: DynamicalSystem, rng: np.random.Generator,
-                          cfg: Config) -> tuple[bool, dict]:
-    """psi(T^n x) -> phi(x) for random states psi, at the power horizon."""
-    xs = _random_probe_elements(sys, rng, cfg)
-    psis = [random_state(sys.shape, rng) for _ in range(cfg.estimator_pairs)]
-    x0 = _centered_columns(sys, xs)
-    rows = np.stack([p.row() for p in psis])
-    p_half, p_full = _matrix_power_pair(sys.operator.matrix, cfg.exact_power_n)
-    v_half = np.abs(np.einsum("jd,dj->j", rows, p_half @ x0))
-    v_full = np.abs(np.einsum("jd,dj->j", rows, p_full @ x0))
-    ok = _dyadic_passes(v_half, v_full, cfg.estimator_abs, cfg)
-    return ok, {"at_full": [float(v) for v in v_full]}
+    x_norm = _centered_columns(sys, _random_probe_elements(sys, rng, cfg))
+    x_weak = _centered_columns(sys, _random_probe_elements(sys, rng, cfg))
+    rows = np.stack([random_state(sys.shape, rng).row()
+                     for _ in range(cfg.estimator_pairs)])
+    n_half, n_full = (hermitian_operator_norms(sys.shape, (p @ x_norm).T)
+                      for p in (p_half, p_full))
+    w_half, w_full = (np.abs(np.einsum("jd,dj->j", rows, p @ x_weak))
+                      for p in (p_half, p_full))
+    return {
+        "power_norm": (_dyadic_passes(n_half, n_full, cfg.estimator_abs, cfg),
+                       {"at_half": [float(v) for v in n_half],
+                        "at_full": [float(v) for v in n_full]}),
+        "weak_power": (_dyadic_passes(w_half, w_full, cfg.estimator_abs, cfg),
+                       {"at_full": [float(v) for v in w_full]}),
+    }
 
 
 def _dual_power_estimator(sys: DynamicalSystem, rng: np.random.Generator,
@@ -711,32 +748,32 @@ def check_ergodic(sys: DynamicalSystem, config: Config = DEFAULT,
 
 def check_strictly_ergodic(sys: DynamicalSystem, config: Config = DEFAULT,
                            seed: int = 0) -> CheckResult:
-    """Uniqueness of the invariant state, decided by fixed-space dimension.
+    """Uniqueness of the invariant state: a 1-cluster of one eigenvalue.
 
     Cross-checks: the norm-Cesàro estimator ||(1/n) sum T^k x - phi(x) 1||,
-    the rank identity rank(T - id) = D - 1, and invariant_states returning
-    exactly the system state. A unique invariant state different from phi
-    raises InvariantStateMismatch.
+    the rank identity rank(T - id) = D - 1 from the SVD of M - I, and
+    invariant_states returning exactly the system state. A unique invariant
+    state different from phi raises InvariantStateMismatch.
     """
-    summ = spectrum(sys.operator, config)
-    spectral = summ.fixed_space_dim == 1
+    data = _spectral_data(sys.operator, config)
+    spectral = data.one_count == 1
     rng = np.random.default_rng(seed)
     estim, trace = _cesaro_norm_estimator(sys, rng, config)
     d = sys.shape.dim
     rank_crit = range_of_defect(sys.operator, config).shape[1] == d - 1
     states = invariant_states(sys.operator, config)
-    if len(states) == 1:
+    unique = len(states) == 1
+    if unique:
         gap = functional_norm(states[0] - sys.state)
         if gap > config.tol_invariant_state:
             raise InvariantStateMismatch(
                 f"unique invariant state differs from the system state "
                 f"by {gap:.3e} in trace norm")
-    unique = len(states) == 1
     routes = {"spectral": spectral, "estimator": estim,
               "rank": rank_crit, "unique_state": unique}
     if not (spectral == estim == rank_crit == unique):
         raise MethodDisagreement(f"strict ergodicity routes disagree: {routes}")
-    wit = {"fixed_space_dim": summ.fixed_space_dim,
+    wit = {"fixed_space_dim": data.summary.fixed_space_dim,
            "invariant_state_count": len(states),
            "estimator": trace}
     return CheckResult(spectral, routes, wit)
@@ -751,16 +788,11 @@ def check_weakly_mixing(sys: DynamicalSystem, config: Config = DEFAULT,
     that |phi(y T^k x) - phi(y) phi(x)| vanishes in Cesàro mean, through
     the three-way bounded-sequence equivalence.
     """
-    return _weakly_mixing(sys, _tensor_square(sys, config), config, seed)
-
-
-def _weakly_mixing(sys: DynamicalSystem, ts: DynamicalSystem | None,
-                   config: Config, seed: int) -> CheckResult:
-    """check_weakly_mixing on a tensor square built by the caller."""
-    if ts is None:
+    if not sys.operator.is_cp_verified():
         raise RequiresCP(
             "weak mixing is decided through the tensor square, which needs "
             "a verified completely positive operator")
+    ts = _shared(sys, "tensor_square", lambda: tensor_system(sys, config))
     primary = check_ergodic(ts, config, seed=seed + 1)
     rng = np.random.default_rng(seed)
     secondary, trace = _eq2_estimator(sys, rng, config)
@@ -774,20 +806,6 @@ def _weakly_mixing(sys: DynamicalSystem, ts: DynamicalSystem | None,
                        wit)
 
 
-def _swm_routes(sys: DynamicalSystem, ts: DynamicalSystem | None,
-                config: Config, seed: int, norms: tuple[bool, dict]):
-    """The three strictly-weak-mixing routes, evaluated independently; ts is
-    the tensor square (None without verified complete positivity), norms
-    the ``_mean_norm_estimator`` result that is route C."""
-    a, wit = _swm_spectral(sys, config)
-    if ts is not None:
-        b: bool | Unsupported = check_strictly_ergodic(ts, config, seed=seed + 1).verdict
-    else:
-        b = Unsupported("tensor route requires verified complete positivity")
-    c, wit["estimator"] = norms
-    return a, b, c, wit
-
-
 def check_strictly_weak_mixing(sys: DynamicalSystem, config: Config = DEFAULT,
                                seed: int = 0) -> CheckResult:
     """Trivial fixed space plus peripheral spectrum {1}.
@@ -797,22 +815,17 @@ def check_strictly_weak_mixing(sys: DynamicalSystem, config: Config = DEFAULT,
     as unsupported without verified complete positivity); route C is the
     Cesàro mean of ||T^k x - phi(x) 1||, which dominates the sup-over-
     functionals criterion. All decided routes must agree. Route C is the
-    same trace as condition (i) of check_phi_ergodic_equiv; ``classify``
-    computes it once for both.
+    same trace as condition (i) of check_phi_ergodic_equiv, and the tensor
+    square the one check_weakly_mixing reads; both are ``_shared``.
     """
-    norms = _mean_norm_estimator(sys, np.random.default_rng(seed), config)
-    return _strictly_weak_mixing(sys, _tensor_square(sys, config), config,
-                                 seed, norms)
-
-
-def _strictly_weak_mixing(sys: DynamicalSystem, ts: DynamicalSystem | None,
-                          config: Config, seed: int,
-                          norms: tuple[bool, dict]) -> CheckResult:
-    """check_strictly_weak_mixing on a tensor square and a route-C trace
-    computed by the caller."""
-    a, b, c, wit = _swm_routes(sys, ts, config, seed, norms)
-    decided = [a, c] + ([b] if isinstance(b, bool) else [])
-    if any(v != a for v in decided):
+    a, wit = _swm_spectral(sys, config)
+    c, wit["estimator"] = _norm_trace(sys, config, seed)
+    if sys.operator.is_cp_verified():
+        ts = _shared(sys, "tensor_square", lambda: tensor_system(sys, config))
+        b: bool | Unsupported = check_strictly_ergodic(ts, config, seed=seed + 1).verdict
+    else:
+        b = Unsupported("tensor route requires verified complete positivity")
+    if c != a or (isinstance(b, bool) and b != a):
         raise MethodDisagreement(
             f"strict weak mixing routes disagree: spectral={a}, tensor={b}, "
             f"norm-Cesàro={c}")
@@ -849,43 +862,32 @@ def check_phi_ergodic_equiv(sys: DynamicalSystem, config: Config = DEFAULT,
     Cesàro-of-norms trace (i), the power-norm trace (ii), and weak power
     convergence against random states (iv) must satisfy (i) iff (ii), and
     (ii) implies (iv); a breach raises ImplicationViolation. Condition (i)
-    is the same trace as route C of check_strictly_weak_mixing; ``classify``
-    computes it, and the exactness result, once for both checks.
+    is the same trace as route C of check_strictly_weak_mixing; it and the
+    exactness result are ``_shared``.
     """
-    norms = _mean_norm_estimator(sys, np.random.default_rng(seed), config)
-    return _phi_ergodic_equiv(sys, config, seed, check_exact(sys, config, seed),
-                              norms)
-
-
-def _observed_conditions(sys: DynamicalSystem, config: Config, seed: int,
-                         norms: tuple[bool, dict]) -> tuple[dict, dict, bool]:
-    """Observed verdicts, traces, and whether they keep (i) iff (ii) and
-    (ii) implies (iv): (i) is ``norms``, (ii) power norm and (iv) weak power
-    are drawn from a fresh ``seed + 2`` generator."""
-    rng = np.random.default_rng(seed + 2)
-    results = {"cesaro_of_norms": norms,
-               "power_norm": _power_norm_estimator(sys, rng, config),
-               "weak_power": _weak_power_estimator(sys, rng, config)}
-    observed = {k: ok for k, (ok, _) in results.items()}
-    traces = {k: tr for k, (_, tr) in results.items()}
-    i, ii, iv = observed.values()
-    return observed, traces, i == ii and (iv or not ii)
-
-
-def _phi_ergodic_equiv(sys: DynamicalSystem, config: Config, seed: int,
-                       exact_res: CheckResult,
-                       norms: tuple[bool, dict]) -> CheckResult:
-    """check_phi_ergodic_equiv on an exactness result and a condition-(i)
-    trace computed by the caller."""
-    observed, traces, holds = _observed_conditions(sys, config, seed, norms)
+    exact = _shared(sys, "exact", lambda: check_exact(sys, config, seed))
+    observed, traces, holds = _observed_conditions(sys, config, seed)
     if not holds:
         raise ImplicationViolation(
             f"observed condition pattern breaks the proven implications: "
             f"{observed}")
-    routes = {"exact": exact_res.verdict,
+    routes = {"exact": exact.verdict,
               "observed_power_norm": observed["power_norm"]}
-    return CheckResult(exact_res.verdict, routes,
+    return CheckResult(exact.verdict, routes,
                        {"observed": observed, "traces": traces})
+
+
+def _observed_conditions(sys: DynamicalSystem, config: Config,
+                         seed: int) -> tuple[dict, dict, bool]:
+    """Observed verdicts, traces, and whether they keep (i) iff (ii) and
+    (ii) implies (iv): (i) is ``_norm_trace``, (ii) power norm and (iv) weak
+    power are drawn from a fresh ``seed + 2`` generator."""
+    results = {"cesaro_of_norms": _norm_trace(sys, config, seed),
+               **_power_estimators(sys, np.random.default_rng(seed + 2), config)}
+    observed = {k: ok for k, (ok, _) in results.items()}
+    traces = {k: tr for k, (_, tr) in results.items()}
+    i, ii, iv = observed.values()
+    return observed, traces, i == ii and (iv or not ii)
 
 
 def check_peripheral_obstruction(sys: DynamicalSystem,
@@ -943,54 +945,41 @@ def classify(sys: DynamicalSystem, config: Config = DEFAULT,
     report attached (``.report``), so the conflict is inspectable rather
     than silently resolved.
 
-    The tensor square T (x) T is built once per call, when the weak-mixing
-    check first needs it, shared with the tensor route of strict weak
-    mixing, and dropped on return; nothing of it is kept on the system.
-    The same holds for the Cesàro-of-norms trace, route C of strict weak
-    mixing and condition (i) of phi_ergodic_equiv, and the exactness
-    result, which phi_ergodic_equiv reads instead of recomputing it.
+    The six checks run in one ``_sharing`` scope, so the tensor square,
+    the Cesàro-of-norms trace and the exactness result are each computed
+    once (see the module docstring) and dropped on return or raise; nothing
+    of them is kept on the system.
     """
     verdicts: dict = {}
     witnesses: dict = {}
     agreement: dict = {}
-    results: dict = {}
-
-    square = functools.cache(lambda: _tensor_square(sys, config))
-    # drawn at the strict-weak-mixing seed; ``seeds`` is set below, before
-    # any check runs
-    norms = functools.cache(lambda: _mean_norm_estimator(
-        sys, np.random.default_rng(seeds["strictly_weak_mixing"]), config))
     checks = (
         ("ergodic", check_ergodic),
         ("strictly_ergodic", check_strictly_ergodic),
-        ("weakly_mixing",
-         lambda s, c, seed: _weakly_mixing(s, square(), c, seed)),
-        ("strictly_weak_mixing",
-         lambda s, c, seed: _strictly_weak_mixing(s, square(), c, seed,
-                                                  norms())),
+        ("weakly_mixing", check_weakly_mixing),
+        ("strictly_weak_mixing", check_strictly_weak_mixing),
         ("exact", check_exact),
-        ("phi_ergodic_equiv",
-         lambda s, c, seed: _phi_ergodic_equiv(s, c, seed, results["exact"],
-                                               norms())),
+        ("phi_ergodic_equiv", check_phi_ergodic_equiv),
     )
-    seeds = {name: seed + 10 * offset for offset, (name, _) in enumerate(checks)}
-    for name, fn in checks:
-        try:
-            res = fn(sys, config, seed=seeds[name])
-        except RequiresCP as e:
-            verdicts[name] = Unsupported(str(e))
-            agreement[name] = {"routes": {}, "agreed": True}
-            continue
-        except MethodDisagreement as e:
-            verdicts[name] = Unsupported("method disagreement")
-            agreement[name] = {"routes": {}, "agreed": False,
-                               "detail": str(e)}
-            e.report = MixingReport(verdicts, witnesses, agreement, config, seed)
-            raise
-        results[name] = res
-        verdicts[name] = res.verdict
-        witnesses[name] = res.witnesses
-        agreement[name] = {"routes": res.routes, "agreed": True}
+    with _sharing():
+        for offset, (name, check) in enumerate(checks):
+            try:
+                res = _shared(sys, name, functools.partial(
+                    check, sys, config, seed=seed + 10 * offset))
+            except RequiresCP as e:
+                verdicts[name] = Unsupported(str(e))
+                agreement[name] = {"routes": {}, "agreed": True}
+                continue
+            except MethodDisagreement as e:
+                verdicts[name] = Unsupported("method disagreement")
+                agreement[name] = {"routes": {}, "agreed": False,
+                                   "detail": str(e)}
+                e.report = MixingReport(verdicts, witnesses, agreement, config,
+                                        seed)
+                raise
+            verdicts[name] = res.verdict
+            witnesses[name] = res.witnesses
+            agreement[name] = {"routes": res.routes, "agreed": True}
 
     obstruction = check_peripheral_obstruction(sys, config)
     witnesses["peripheral_obstruction"] = {
@@ -1030,35 +1019,21 @@ def _ensemble_system(shape: AlgebraShape, trial: int, seed: int,
 
 
 def _trial_thm_3_2(sys, config, seed):
-    spectral = spectrum(sys.operator, config).fixed_space_dim == 1
-    unique = len(invariant_states(sys.operator, config)) == 1
-    rng = np.random.default_rng(seed)
-    norm_cesaro, _ = _cesaro_norm_estimator(sys, rng, config)
-    state_mean, _ = _state_mean_estimator(sys, np.random.default_rng(seed + 1), config)
-    rank_crit = range_of_defect(sys.operator, config).shape[1] == sys.shape.dim - 1
-    sides = {"fixed_space": spectral, "unique_state": unique,
-             "norm_cesaro": norm_cesaro, "state_mean": state_mean,
-             "rank_d_minus_1": rank_crit}
-    ok = len({spectral, unique, norm_cesaro, state_mean, rank_crit}) == 1
-    return ok, sides
+    """The strict-ergodicity routes and the state-mean estimator."""
+    sides = dict(check_strictly_ergodic(sys, config, seed).routes)
+    sides["state_mean"], _ = _state_mean_estimator(
+        sys, np.random.default_rng(seed + 1), config)
+    return len(set(sides.values())) == 1, sides
 
 
 def _trial_thm_4_3(sys, config, seed):
-    norms = _mean_norm_estimator(sys, np.random.default_rng(seed), config)
-    a, b, c, _ = _swm_routes(sys, _tensor_square(sys, config), config, seed,
-                             norms)
-    sides = {"spectral": a, "tensor_strict_ergodic": b, "norm_cesaro": c}
-    decided = [v for v in (a, b, c) if isinstance(v, bool)]
-    return len(set(decided)) == 1, sides
+    """The strict-weak-mixing routes; a disagreement raises."""
+    return True, check_strictly_weak_mixing(sys, config, seed).routes
 
 
 def _trial_thm_4_5(sys, config, seed):
-    ts = tensor_system(sys, config)
-    tensor_ergodic = check_ergodic(ts, config, seed=seed + 1).verdict
-    rng = np.random.default_rng(seed)
-    modulus, _ = _eq2_estimator(sys, rng, config)
-    sides = {"tensor_ergodic": tensor_ergodic, "correlation_modulus": modulus}
-    return tensor_ergodic == modulus, sides
+    """The weak-mixing routes; a disagreement raises."""
+    return True, check_weakly_mixing(sys, config, seed).routes
 
 
 def _trial_prop_4_4(sys, config, seed):
@@ -1070,8 +1045,7 @@ def _trial_prop_4_4(sys, config, seed):
 
 
 def _trial_thm_4_6(sys, config, seed):
-    norms = _mean_norm_estimator(sys, np.random.default_rng(seed), config)
-    observed, _, holds = _observed_conditions(sys, config, seed, norms)
+    observed, _, holds = _observed_conditions(sys, config, seed)
     swm, _ = _swm_spectral(sys, config)
     exact, _ = _exact_spectral(sys, config)
     sides = {**observed, "swm_spectral": swm, "exact_spectral": exact}
@@ -1079,10 +1053,9 @@ def _trial_thm_4_6(sys, config, seed):
 
 
 def _trial_remark(sys, config, seed):
-    ts = _tensor_square(sys, config)
-    norms = _mean_norm_estimator(sys, np.random.default_rng(seed), config)
-    swm = _strictly_weak_mixing(sys, ts, config, seed, norms).verdict
-    wm = _weakly_mixing(sys, ts, config, seed + 5).verdict
+    with _sharing():
+        swm = check_strictly_weak_mixing(sys, config, seed).verdict
+        wm = check_weakly_mixing(sys, config, seed + 5).verdict
     sides = {"strictly_weak_mixing": swm, "weakly_mixing": wm}
     return (not swm) or wm is True, sides
 
@@ -1223,12 +1196,9 @@ def probe_problem1(shape, trials: int, seed: int = 0,
         phi = canonical_invariant_state(op, config)
         sys_i = DynamicalSystem(op, phi, config)
 
-        summ = spectrum(op, config)
-        se = summ.fixed_space_dim == 1
-        swm = se and all(abs(c - 1.0) <= config.tol_cluster
-                         for c in summ.peripheral)
-        ts = tensor_system(sys_i, config)
-        wm, _ = _ergodic_spectral(ts, config)
+        se = _spectral_data(op, config).one_count == 1
+        swm, _ = _swm_spectral(sys_i, config)
+        wm, _ = _ergodic_spectral(tensor_system(sys_i, config), config)
         verdicts.append({"trial": i, "variant": variant,
                          "kraus_count": kraus_count,
                          "weakly_mixing": wm, "strictly_ergodic": se,

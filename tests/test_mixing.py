@@ -439,3 +439,165 @@ def test_orbit_blocks_follow_the_stride(n):
             x = system.operator.matrix @ x
         count += 1
     assert count == n // s
+
+
+def _flipped(real):
+    """An estimator whose verdict is the opposite of ``real``'s."""
+    def run(*args, **kwargs):
+        ok, trace = real(*args, **kwargs)
+        return not ok, trace
+    return run
+
+
+def _one_count_shifted(real):
+    """Spectral data whose 1-cluster Schur count is off by one."""
+    import dataclasses
+
+    def run(*args, **kwargs):
+        data = real(*args, **kwargs)
+        return dataclasses.replace(data, one_count=data.one_count + 1)
+    return run
+
+
+@pytest.mark.parametrize("check, source, corrupt", [
+    ("check_ergodic", "_eq1_estimator", _flipped),
+    ("check_strictly_ergodic", "_spectral_data", _one_count_shifted),
+    ("check_strictly_ergodic", "_cesaro_norm_estimator", _flipped),
+    ("check_weakly_mixing", "_eq2_estimator", _flipped),
+    ("check_strictly_weak_mixing", "_mean_norm_estimator", _flipped),
+    ("check_exact", "_dual_power_estimator", _flipped),
+])
+def test_a_corrupted_route_raises_method_disagreement(monkeypatch, check,
+                                                      source, corrupt):
+    from cstar_mixing import MethodDisagreement
+    from cstar_mixing import mixing
+    system = chain_system()
+    assert getattr(mixing, check)(system).verdict is True
+    monkeypatch.setattr(mixing, source, corrupt(getattr(mixing, source)))
+    with pytest.raises(MethodDisagreement):
+        getattr(mixing, check)(system)
+
+
+def _watch_tensor_squares(monkeypatch):
+    """Weak references to every tensor-square system ``mixing`` builds."""
+    import weakref
+    from cstar_mixing import mixing
+    real = mixing.tensor_system
+    refs = []
+
+    def watched(*args, **kwargs):
+        ts = real(*args, **kwargs)
+        refs.append(weakref.ref(ts))
+        return ts
+    monkeypatch.setattr(mixing, "tensor_system", watched)
+    return refs
+
+
+def test_classify_shares_the_tensor_square_and_drops_it_on_return(monkeypatch):
+    import gc
+    from cstar_mixing import mixing
+    refs = _watch_tensor_squares(monkeypatch)
+    classify(chain_system())
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+    assert mixing._MEMO.get() is None
+
+
+def test_classify_reraises_a_disagreement_with_its_report(monkeypatch):
+    import gc
+    from cstar_mixing import MethodDisagreement
+    from cstar_mixing import mixing
+    refs = _watch_tensor_squares(monkeypatch)
+    monkeypatch.setattr(mixing, "_dual_power_estimator",
+                        _flipped(mixing._dual_power_estimator))
+    with pytest.raises(MethodDisagreement) as info:
+        classify(chain_system())
+    agreement = info.value.report.method_agreement
+    assert agreement["exact"]["agreed"] is False
+    assert "exactness" in agreement["exact"]["detail"]
+    assert all(agreement[name]["agreed"] for name in
+               ("ergodic", "strictly_ergodic", "weakly_mixing",
+                "strictly_weak_mixing"))
+    assert "phi_ergodic_equiv" not in agreement
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+    assert mixing._MEMO.get() is None
+
+
+def test_classify_calls_each_public_check_once(monkeypatch):
+    from cstar_mixing import mixing
+    system = chain_system()
+    names = ("check_ergodic", "check_strictly_ergodic", "check_weakly_mixing",
+             "check_strictly_weak_mixing", "check_exact",
+             "check_phi_ergodic_equiv")
+    calls = {name: 0 for name in names}
+    for name in names:
+        real = getattr(mixing, name)
+
+        def counted(sys, *args, _name=name, _real=real, **kwargs):
+            calls[_name] += sys is system
+            return _real(sys, *args, **kwargs)
+        monkeypatch.setattr(mixing, name, counted)
+    classify(system)
+    assert calls == {name: 1 for name in names}
+
+
+def test_a_standalone_check_builds_its_own_square_and_trace(monkeypatch):
+    from cstar_mixing import check_strictly_weak_mixing, mixing
+    refs = _watch_tensor_squares(monkeypatch)
+    traces = []
+    real = mixing._mean_norm_estimator
+
+    def counted(*args, **kwargs):
+        traces.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(mixing, "_mean_norm_estimator", counted)
+    res = check_strictly_weak_mixing(chain_system())
+    assert res.routes == {"spectral": True, "tensor": True, "norm_cesaro": True}
+    assert len(refs) == len(traces) == 1
+
+
+def test_a_defective_one_cluster_is_a_numerical_failure():
+    # one fixed direction, but eigenvalue 1 has algebraic multiplicity 3: the
+    # spectral route (Schur count 3) and the rank route (rank D - 1) would
+    # disagree, and the Jordan block must be reported before they are compared
+    from cstar_mixing import DefectivePeripheral
+    M = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
+    op = from_superoperator(AlgebraShape([1, 1, 1]), M)
+    phi = Functional.from_vec(op.shape, np.array([0.5, 0.0, 0.5], complex))
+    with pytest.raises(DefectivePeripheral):
+        check_strictly_ergodic(DynamicalSystem(op, phi))
+
+
+def test_power_estimators_square_once_and_match_matrix_powers(monkeypatch):
+    from cstar_mixing import mixing
+    from cstar_mixing.algebra import operator_norms, random_state
+    system = sys_for(random_unital_cp(AlgebraShape([1, 2]), 2, seed=12))
+    cfg = DEFAULT.replace(exact_power_n=16)
+    pairs = []
+    real = mixing._matrix_power_pair
+
+    def counted(*args):
+        pairs.append(args)
+        return real(*args)
+    monkeypatch.setattr(mixing, "_matrix_power_pair", counted)
+    got = mixing._power_estimators(system, np.random.default_rng(4), cfg)
+    assert len(pairs) == 1
+    # the reference draws in the same order: norm probes, weak probes, states
+    rng = np.random.default_rng(4)
+    x_norm = mixing._centered_columns(
+        system, mixing._random_probe_elements(system, rng, cfg))
+    x_weak = mixing._centered_columns(
+        system, mixing._random_probe_elements(system, rng, cfg))
+    rows = np.stack([random_state(system.shape, rng).row()
+                     for _ in range(cfg.estimator_pairs)])
+    m = system.operator.matrix
+    for key, n in (("at_half", 8), ("at_full", 16)):
+        p = np.linalg.matrix_power(m, n)
+        want = operator_norms(system.shape, (p @ x_norm).T)
+        assert np.allclose(got["power_norm"][1][key], want, atol=1e-12)
+    want = np.abs(np.einsum("jd,dj->j", rows, np.linalg.matrix_power(m, 16) @ x_weak))
+    assert np.allclose(got["weak_power"][1]["at_full"], want, atol=1e-12)
+    with pytest.raises(ValidationError):
+        mixing._power_estimators(system, np.random.default_rng(4),
+                                 cfg.replace(exact_power_n=24))
