@@ -7,9 +7,10 @@ and a conflict raises MethodDisagreement rather than being averaged away.
 Estimators use finite horizons (2**12 steps for Cesàro means, 2**10 for
 power limits) and the dyadic-decrease test shared with `sequences`:
 a trace counts as vanishing when its trailing-window maximum at N is below
-the absolute threshold or at most 0.75 times its value at N/2. The window
-maximum (rather than a single sample) keeps oscillating-but-decaying traces
-from passing or failing on the phase they happen to be caught at.
+the absolute threshold or at most ``Config.dyadic_factor`` (0.75) times its
+value at N/2, by ``sequences.dyadic_decreasing``. The window maximum
+(rather than a single sample) keeps oscillating-but-decaying traces from
+passing or failing on the phase they happen to be caught at.
 The linear estimators (the signed Cesàro means and the norm of the Cesàro
 mean) read only the orbit sums at the trace checkpoints and in those two
 windows, which dyadic doubling gives in about 2 log2 N products; only the
@@ -33,9 +34,8 @@ count (1, 2, 3, 4), so unitary conjugations and properly dissipative
 channels both appear. The invariant state is always taken to be the
 canonical one (Cesàro average of the maximally mixed state under the dual),
 which equals the unique invariant state whenever there is one; no trial is
-ever skipped. Trials may run on a thread pool sized by the
-CSTAR_MIXING_THREADS environment variable (default: all cores); results
-are merged in trial order, so records are reproducible either way.
+ever skipped. Trials run one after another in the calling thread, so
+numpy's BLAS keeps the cores to itself.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +82,7 @@ from .errors import (
     UnknownTheorem,
     ValidationError,
 )
+from .sequences import BoundedSequence, check_kvn_equivalence, dyadic_decreasing
 from .spectral import (
     _spectral_data,
     cesaro_projector_spectral,
@@ -256,21 +255,17 @@ def _shared(sys: DynamicalSystem, name: str, make):
 # ---------------------------------------------------------------------------
 
 def _thread_count() -> int:
-    raw = os.environ.get("CSTAR_MIXING_THREADS", "")
-    try:
-        n = int(raw)
-        if n >= 1:
-            return n
-    except ValueError:
-        pass
-    return os.cpu_count() or 1
+    """Trial threads of ``verify_theorem``: always 1, the calling thread.
+    Nothing in the library reads it; perfbench's ``env`` line does."""
+    return 1
 
 
 def _dyadic_passes(half: np.ndarray, full: np.ndarray, tol: float,
                    cfg: Config) -> bool:
-    """Whether every trace passes the dyadic-decrease test: its value at N
-    is below ``tol`` or at most ``dyadic_factor`` times its value at N/2."""
-    return bool(np.all((full <= tol) | (full <= cfg.dyadic_factor * half)))
+    """Whether every trace (its values at N/2 and N) passes
+    ``dyadic_decreasing`` at ``cfg.dyadic_factor``."""
+    return all(dyadic_decreasing((h, f), tol, cfg.dyadic_factor)
+               for h, f in zip(half, full))
 
 
 def _checkpoints(n: int) -> list[int]:
@@ -532,15 +527,13 @@ def _eq2_estimator(sys: DynamicalSystem, rng: np.random.Generator,
                    cfg: Config) -> tuple[bool, dict]:
     """Vanishing of |phi(y T^k x) - phi(y) phi(x)| in the three equivalent
     senses of the bounded-sequence lemma, per random pair."""
-    from .sequences import BoundedSequence, check_kvn_equivalence
-
     rows, consts, x0 = _correlation_probes(sys, rng, cfg)
     n = cfg.estimator_n
     series = _correlation_running(sys, rows, consts, x0, n)
     verdicts, finals = [], []
     for j in range(series.shape[1]):
         rec = check_kvn_equivalence(BoundedSequence(np.abs(series[:, j])),
-                                    n, cfg.estimator_abs)
+                                    n, cfg.estimator_abs, cfg.dyadic_factor)
         verdicts.append(rec.tending)
         finals.append(rec.sq_trace[-1])
     return all(verdicts), {"per_pair": verdicts, "final_sq_means": finals}
@@ -903,7 +896,11 @@ def check_peripheral_obstruction(sys: DynamicalSystem,
     ]
     if not candidates:
         return ObstructionRecord(clean=True)
-    i = max(candidates, key=lambda j: abs(w[j]))
+    # moduli within tol_peripheral of the largest tie (a rotation's roots of
+    # unity differ only by rounding); the smallest angle in [0, 2 pi) wins
+    top = max(abs(w[j]) for j in candidates)
+    i = min((j for j in candidates if abs(w[j]) >= top - config.tol_peripheral),
+            key=lambda j: np.angle(w[j]) % (2 * np.pi))
     h = Functional.from_vec(sys.shape, v[:, i])
     h = h * (1.0 / functional_norm(h))
     resid = functional_norm(
@@ -1077,7 +1074,8 @@ def verify_theorem(name: str, shape, trials: int, seed: int = 0,
     Each trial draws a unital CP channel, pairs it with its canonical
     invariant state, and evaluates the theorem's sides independently; any
     internal error counts as a failed trial rather than aborting the run.
-    Valid names are listed in THEOREM_NAMES.
+    Trials run in order in the calling thread, and the first failed one is
+    the record's counterexample. Valid names are listed in THEOREM_NAMES.
     """
     if name not in _TRIALS:
         raise UnknownTheorem(
@@ -1087,30 +1085,23 @@ def verify_theorem(name: str, shape, trials: int, seed: int = 0,
     shape = shape if isinstance(shape, AlgebraShape) else AlgebraShape(shape)
     fn = _TRIALS[name]
 
-    def run(i: int):
+    passes, counterexample = 0, None
+    for i in range(trials):
         sys_i = None
         try:
             sys_i, kraus_count = _ensemble_system(shape, i, seed, config)
             ok, sides = fn(sys_i, config, seed + i)
-            return ok, {"trial": i, "seed": seed + i,
-                        "kraus_count": kraus_count, "sides": sides,
-                        "system": sys_i}
+            info = {"trial": i, "seed": seed + i, "kraus_count": kraus_count,
+                    "sides": sides, "system": sys_i}
         except CstarMixingError as e:
-            info = {"trial": i, "seed": seed + i,
-                    "error": f"{type(e).__name__}: {e}"}
+            ok, info = False, {"trial": i, "seed": seed + i,
+                               "error": f"{type(e).__name__}: {e}"}
             if sys_i is not None:
                 info["system"] = sys_i
-            return False, info
-
-    workers = min(_thread_count(), trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(trials)))
-    else:
-        outcomes = [run(i) for i in range(trials)]
-
-    passes = sum(1 for ok, _ in outcomes if ok)
-    counterexample = next((info for ok, info in outcomes if not ok), None)
+        if ok:
+            passes += 1
+        elif counterexample is None:
+            counterexample = info
     return VerificationRecord(name, shape, trials, seed, passes,
                               trials - passes, counterexample)
 

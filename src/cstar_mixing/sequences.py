@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT
 from .errors import EquivalenceViolation, ValidationError
 
 __all__ = [
@@ -34,10 +35,6 @@ __all__ = [
 
 # Levels below 2^-60 are beneath float64 resolution for O(1) data.
 _MAX_LEVEL = 60
-
-# A trailing value counts as "decreasing dyadically" if it dropped to at
-# most this fraction of the previous dyadic checkpoint.
-_DYADIC_RATIO = 0.75
 
 # Disagreement bands for the three-criteria check: a criterion is only
 # "clearly not vanishing" when its final value sits at least _GUARD times
@@ -173,7 +170,8 @@ def extract_density_zero(seq: BoundedSequence) -> DensityZeroSet:
     return DensityZeroSet(mask, profile, tuple(checkpoints), False)
 
 
-def dyadic_decreasing(trace, tol: float, ratio: float = _DYADIC_RATIO) -> bool:
+def dyadic_decreasing(trace, tol: float,
+                      ratio: float = DEFAULT.dyadic_factor) -> bool:
     """Finite-horizon "tends to zero" test on a coarse-to-fine dyadic trace.
 
     Passes if the finest value is at most tol outright, or dropped to at
@@ -230,15 +228,17 @@ def _clearly_flat_above(trace: list[float], tol: float) -> bool:
     return len(trace) < 2 or trace[-1] > _FLAT * trace[-2]
 
 
-def check_kvn_equivalence(seq: BoundedSequence, n: int, tol: float) -> KvnRecord:
+def check_kvn_equivalence(seq: BoundedSequence, n: int, tol: float,
+                          ratio: float = DEFAULT.dyadic_factor) -> KvnRecord:
     """Check that the three vanishing criteria agree on the data.
 
     Criteria: the Cesàro mean of |a_k| at tolerance tol, the Cesàro mean of
     |a_k|^2 at tol^2 (squaring keeps the thresholds aligned on the same
     amplitude scale), and the off-thinned-set criterion: trailing-window
     maxima of |a_k| off the thinned set vanish AND the set's own running
-    density does. All use ``dyadic_decreasing``; the Cauchy-Schwarz
-    sandwich between the two means is asserted at every checkpoint.
+    density does. All use ``dyadic_decreasing`` at ``ratio``; the
+    Cauchy-Schwarz sandwich between the two means is asserted at every
+    checkpoint.
 
     The criteria share a limit but not a finite-horizon scale, so near the
     tolerances their boolean verdicts can split on legitimate data. A
@@ -270,10 +270,10 @@ def check_kvn_equivalence(seq: BoundedSequence, n: int, tol: float) -> KvnRecord
         abs_tr.append(ca)
         sq_tr.append(cs)
 
-    v_abs = dyadic_decreasing(abs_tr, tol)
-    v_sq = dyadic_decreasing(sq_tr, tol * tol)
-    v_off = (not dz.failure_to_thin) and dyadic_decreasing(off_tr, tol) \
-        and dyadic_decreasing(dens_tr, tol)
+    v_abs = dyadic_decreasing(abs_tr, tol, ratio)
+    v_sq = dyadic_decreasing(sq_tr, tol * tol, ratio)
+    v_off = (not dz.failure_to_thin) and dyadic_decreasing(off_tr, tol, ratio) \
+        and dyadic_decreasing(dens_tr, tol, ratio)
     clear_pass = [v_abs and abs_tr[-1] <= tol,
                   v_sq and sq_tr[-1] <= tol * tol,
                   v_off and off_tr[-1] <= tol]

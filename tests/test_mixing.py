@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from cstar_mixing import (
     tensor_system,
     verify_theorem,
 )
+from cstar_mixing import mixing
 from cstar_mixing.config import DEFAULT
 from cstar_mixing.mixing import _corner_unital_cp
 
@@ -93,6 +96,24 @@ def test_swap_is_strictly_ergodic_but_not_mixing():
     assert ob.residual <= 1e-12
 
 
+def test_example2_obstruction_takes_the_smallest_angle():
+    # all eleven non-1 roots of unity are peripheral with |w| = 1 up to
+    # rounding; the witness is the first one counterclockwise from 1
+    ob = check_peripheral_obstruction(example2(12, 5)[0])
+    assert not ob.clean
+    assert ob.alpha == pytest.approx(np.exp(2j * np.pi / 12), abs=1e-10)
+    assert ob.residual <= 1e-12
+
+
+def test_correlation_modulus_estimator_reads_the_dyadic_factor():
+    system = sys_for(random_unital_cp(AlgebraShape([2]), 2, seed=3))
+    for factor in (0.75, 0.1):
+        cfg = DEFAULT.replace(estimator_abs=1e-12, dyadic_factor=factor)
+        eq1, _ = mixing._eq1_estimator(system, np.random.default_rng(0), cfg)
+        eq2, _ = mixing._eq2_estimator(system, np.random.default_rng(0), cfg)
+        assert eq1 == eq2 == (factor == 0.75)
+
+
 def test_generic_cp_channel_is_exact():
     rep = classify(sys_for(random_unital_cp(AlgebraShape([2]), 3, seed=42)))
     assert all(rep.verdicts[p] is True for p in PROPERTIES)
@@ -141,11 +162,20 @@ def test_classify_is_deterministic():
     assert ta == tb
 
 
-def test_thread_env_does_not_change_results(monkeypatch):
-    rec_default = verify_theorem("thm_4_3", [2], trials=6, seed=11)
-    monkeypatch.setenv("CSTAR_MIXING_THREADS", "1")
-    rec_serial = verify_theorem("thm_4_3", [2], trials=6, seed=11)
-    assert rec_default.passes == rec_serial.passes == 6
+def test_verify_runs_every_trial_in_the_calling_thread(monkeypatch):
+    idents = []
+    draw = mixing._ensemble_system
+
+    def recording(*args):
+        idents.append(threading.get_ident())
+        return draw(*args)
+
+    monkeypatch.setattr(mixing, "_ensemble_system", recording)
+    rec = verify_theorem("thm_4_3", [2], trials=6, seed=11)
+    assert rec.passes == 6
+    assert len(idents) == 6
+    assert set(idents) == {threading.get_ident()}
+    assert mixing._thread_count() == 1
 
 
 @pytest.mark.parametrize("name", THEOREM_NAMES)

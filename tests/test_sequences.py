@@ -136,6 +136,10 @@ def test_geometric_decay_all_pass():
     # partial sums are already within 2^-k of the full sum, so the running
     # mean halves at every doubling
     assert rec.abs_trace[-1] == pytest.approx(rec.abs_trace[-2] / 2, rel=1e-6)
+    # so a decrease ratio below 1/2 rejects it
+    strict = check_kvn_equivalence(BoundedSequence(0.5 ** k), 512, tol=1e-6,
+                                   ratio=0.4)
+    assert not strict.verdict_abs and not strict.tending
 
 
 def test_dyadic_decreasing_cases():
