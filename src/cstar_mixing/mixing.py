@@ -15,7 +15,12 @@ The linear estimators (the signed Cesàro means and the norm of the Cesàro
 mean) read only the orbit sums at the trace checkpoints and in those two
 windows, which dyadic doubling gives in about 2 log2 N products; only the
 estimators that need every step (the correlation modulus and the mean of
-norms) walk the orbit, in strides of up to 64 steps per product.
+norms) walk the orbit, in strides of up to 64 steps per product. The mean
+of norms stops at the end of the first stride after which every probe's
+Frobenius norm is at most 1e-14, about 50 ulp: a unital positive map
+contracts the operator norm, so every later term is at most that floor,
+and the terms not walked count as the floor. Its trace records the horizon
+walked as ``floor_step`` (None when the floor is never reached).
 
 Each property has one implementation, its public ``check_*``, which
 ``classify`` and the verifier's trials call. Inside a ``_sharing()`` scope,
@@ -559,30 +564,57 @@ def _centered_columns(sys: DynamicalSystem, xs: list[AlgebraElement]) -> np.ndar
     return np.column_stack([x.vec() - sys.state(x) * one for x in xs])
 
 
-def _orbit_norm_series(sys: DynamicalSystem, x0: np.ndarray, n: int) -> np.ndarray:
-    """w[k, j] = ||T^k applied to column j|| for k < n (operator norm); the
-    columns are Hermitian, and T preserves Hermiticity."""
+# Orbit norms at or below this are rounding noise: about 50 ulp on the
+# unit-norm probes, whose decayed orbits settle near 1e-15 in operator norm.
+_NORM_FLOOR = 1e-14
+
+
+def _orbit_norm_series(sys: DynamicalSystem, x0: np.ndarray,
+                       n: int) -> tuple[np.ndarray, int | None]:
+    """(w, floor_step) with w[k, j] = ||T^k applied to column j|| for k < n
+    (operator norm); the columns are Hermitian, and T preserves Hermiticity.
+
+    The orbit stops at the end of the first stride after which every
+    column's Frobenius norm, an upper bound on its operator norm, is at most
+    ``_NORM_FLOOR``; floor_step is the number of steps walked by then, None
+    if the orbit never gets there. A unital positive map is an operator-norm
+    contraction (Russo-Dye), so no later norm exceeds the floor, and the
+    rows past floor_step are filled with it: every Cesàro mean of w stays an
+    upper bound of the true one, up to rounding. For an operator whose
+    positivity is only declared, the bound rests on that claim, as the
+    Jordan-part argument of ``invariant_states`` does.
+    """
     d, m = x0.shape
     s, layout, strides = _orbit(sys.operator, x0, n)
     traj = np.empty((n, m, d), dtype=complex)
+    floor_step = None
     for b, x in zip(range(0, n, s), strides):
         traj[b:b + s] = layout.columns_out(x).T.reshape(s, m, d)
-    return hermitian_operator_norms(sys.shape, traj)
+        if np.linalg.norm(traj[b + s - 1], axis=1).max() <= _NORM_FLOOR:
+            floor_step = b + s
+            break
+    walked = n if floor_step is None else floor_step
+    norms = np.full((n, m), _NORM_FLOOR)
+    norms[:walked] = hermitian_operator_norms(sys.shape, traj[:walked])
+    return norms, floor_step
 
 
 def _mean_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
                          cfg: Config) -> tuple[bool, dict]:
     """Cesàro means of ||T^k x - phi(x) 1||, the dominating surrogate for
-    the sup-over-unit-ball criterion."""
+    the sup-over-unit-ball criterion. ``floor_step`` is the horizon the
+    orbit walked before every probe reached the rounding floor (None: the
+    whole horizon, without reaching it); see ``_orbit_norm_series``."""
     xs = _random_probe_elements(sys, rng, cfg)
     x0 = _centered_columns(sys, xs)
     n = cfg.estimator_n
     w = min(cfg.dyadic_window, n // 2)
-    norms = _orbit_norm_series(sys, x0, n)
+    norms, floor_step = _orbit_norm_series(sys, x0, n)
     running = np.cumsum(norms, axis=0) / np.arange(1, n + 1)[:, None]
     trace, half, full = _read_samples(running[_sample_lengths(n, w) - 1], n, w)
     ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
-    return ok, {"trace": trace, "final": [float(v) for v in full]}
+    return ok, {"trace": trace, "final": [float(v) for v in full],
+                "floor_step": floor_step}
 
 
 def _norm_trace(sys: DynamicalSystem, config: Config, seed: int) -> tuple[bool, dict]:
@@ -719,6 +751,16 @@ def _exact_spectral(sys: DynamicalSystem, cfg: Config) -> tuple[bool, dict]:
 # the six property checks
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _on_path(prefix: str):
+    """Re-raise a MethodDisagreement from a nested check with ``prefix``,
+    the path to it, in front of its message."""
+    try:
+        yield
+    except MethodDisagreement as e:
+        raise MethodDisagreement(prefix + str(e), e.report) from e
+
+
 def check_ergodic(sys: DynamicalSystem, config: Config = DEFAULT,
                   seed: int = 0) -> CheckResult:
     """Cesàro correlation criterion, decided spectrally.
@@ -779,14 +821,17 @@ def check_weakly_mixing(sys: DynamicalSystem, config: Config = DEFAULT,
     The tensor-square route (itself spectrally decided and estimator
     cross-checked) is the verdict; the correlation-modulus route checks
     that |phi(y T^k x) - phi(y) phi(x)| vanishes in Cesàro mean, through
-    the three-way bounded-sequence equivalence.
+    the three-way bounded-sequence equivalence. A disagreement inside the
+    tensor-square check is re-raised prefixed "weak mixing → tensor square
+    → ".
     """
     if not sys.operator.is_cp_verified():
         raise RequiresCP(
             "weak mixing is decided through the tensor square, which needs "
             "a verified completely positive operator")
     ts = _shared(sys, "tensor_square", lambda: tensor_system(sys, config))
-    primary = check_ergodic(ts, config, seed=seed + 1)
+    with _on_path("weak mixing → tensor square → "):
+        primary = check_ergodic(ts, config, seed=seed + 1)
     rng = np.random.default_rng(seed)
     secondary, trace = _eq2_estimator(sys, rng, config)
     if secondary != primary.verdict:
@@ -807,15 +852,19 @@ def check_strictly_weak_mixing(sys: DynamicalSystem, config: Config = DEFAULT,
     projector); route B is strict ergodicity of the tensor square (skipped
     as unsupported without verified complete positivity); route C is the
     Cesàro mean of ||T^k x - phi(x) 1||, which dominates the sup-over-
-    functionals criterion. All decided routes must agree. Route C is the
-    same trace as condition (i) of check_phi_ergodic_equiv, and the tensor
-    square the one check_weakly_mixing reads; both are ``_shared``.
+    functionals criterion. All decided routes must agree; a disagreement
+    inside route B's check is re-raised prefixed "strict weak mixing →
+    tensor square → ". Route C is the same trace as condition (i) of
+    check_phi_ergodic_equiv, and the tensor square the one
+    check_weakly_mixing reads; both are ``_shared``.
     """
     a, wit = _swm_spectral(sys, config)
     c, wit["estimator"] = _norm_trace(sys, config, seed)
     if sys.operator.is_cp_verified():
         ts = _shared(sys, "tensor_square", lambda: tensor_system(sys, config))
-        b: bool | Unsupported = check_strictly_ergodic(ts, config, seed=seed + 1).verdict
+        with _on_path("strict weak mixing → tensor square → "):
+            b: bool | Unsupported = check_strictly_ergodic(
+                ts, config, seed=seed + 1).verdict
     else:
         b = Unsupported("tensor route requires verified complete positivity")
     if c != a or (isinstance(b, bool) and b != a):

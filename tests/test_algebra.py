@@ -341,7 +341,7 @@ def test_orbit_norms_match_the_svd_of_the_orbit(shape, kraus_count, seed):
     rng = np.random.default_rng(seed)
     x = _centered_columns(system, [random_hermitian_element(shape, rng)
                                    for _ in range(3)])
-    norms = _orbit_norm_series(system, x, 64)
+    norms, _ = _orbit_norm_series(system, x, 64)
     ref = []
     for _ in range(64):
         ref.append(operator_norms(shape, x.T))

@@ -471,6 +471,69 @@ def test_orbit_blocks_follow_the_stride(n):
     assert count == n // s
 
 
+def test_mean_norm_orbit_stops_once_every_probe_is_at_the_floor(monkeypatch):
+    # the first stride of 64 takes log2(64) = 6 steps (``_widen``), and each
+    # later stride one step of T^64
+    real_step = mixing._OrbitLayout.step
+    steps = []
+
+    def step(self, x):
+        steps.append(x.shape)
+        return real_step(self, x)
+    monkeypatch.setattr(mixing._OrbitLayout, "step", step)
+
+    def run(kraus_count):
+        steps.clear()
+        system = sys_for(random_unital_cp(AlgebraShape([3]), kraus_count, seed=0))
+        _, trace = mixing._mean_norm_estimator(
+            system, np.random.default_rng(0), DEFAULT)
+        return trace["floor_step"], len(steps)
+
+    n, s = DEFAULT.estimator_n, 64
+    floor_step, count = run(3)
+    assert floor_step is not None
+    assert floor_step % s == 0 and floor_step <= 4 * s
+    assert count == 6 + floor_step // s - 1
+    # a unitary conjugation never decays, so it walks every stride
+    floor_step, count = run(1)
+    assert floor_step is None
+    assert count == 6 + n // s - 1
+
+
+@pytest.mark.parametrize("kraus_count", [1, 2, 3, 4])
+@pytest.mark.parametrize("blocks", [[3], [2, 3], [4]])
+def test_stopped_orbit_norms_match_step_by_step(blocks, kraus_count):
+    # past the stop the series holds the floor and the true norms lie in
+    # [0, floor], so they differ by at most the floor; before it, the two
+    # orbits differ by rounding, which on a unitary orbit of 4,096 steps
+    # grows to about 1e-13 of its unit norm
+    from cstar_mixing.algebra import operator_norms
+    system = sys_for(random_unital_cp(AlgebraShape(blocks), kraus_count, seed=0))
+    x = mixing._centered_columns(system, mixing._random_probe_elements(
+        system, np.random.default_rng(1), DEFAULT))
+    n = DEFAULT.estimator_n
+    norms, floor_step = mixing._orbit_norm_series(system, x, n)
+    orbit = []
+    for _ in range(n):
+        orbit.append(x.T)
+        x = system.operator.matrix @ x
+    ref = operator_norms(system.shape, np.array(orbit))
+    np.testing.assert_allclose(norms, ref, rtol=1e-12, atol=mixing._NORM_FLOOR)
+    if floor_step is not None:
+        assert np.all(norms[floor_step:] == mixing._NORM_FLOOR)
+        assert np.max(ref[floor_step:]) <= mixing._NORM_FLOOR
+
+
+def test_the_norm_trace_reports_its_floor_step():
+    rep = classify(chain_system())
+    step = rep.witnesses["strictly_weak_mixing"]["estimator"]["floor_step"]
+    assert isinstance(step, int) and 0 < step < DEFAULT.estimator_n
+    traces = rep.witnesses["phi_ergodic_equiv"]["traces"]
+    assert traces["cesaro_of_norms"]["floor_step"] == step
+    rep = classify(sys_for(random_unital_cp(AlgebraShape([2]), 1, seed=43)))
+    assert rep.witnesses["strictly_weak_mixing"]["estimator"]["floor_step"] is None
+
+
 def _flipped(real):
     """An estimator whose verdict is the opposite of ``real``'s."""
     def run(*args, **kwargs):
@@ -489,10 +552,27 @@ def _one_count_shifted(real):
     return run
 
 
+def _one_column_short(real):
+    """A range of T - id one dimension short of the true one."""
+    def run(*args, **kwargs):
+        return real(*args, **kwargs)[:, 1:]
+    return run
+
+
+def _state_doubled(real):
+    """Invariant states listed twice, as if the fixed space were larger."""
+    def run(*args, **kwargs):
+        states = real(*args, **kwargs)
+        return states + states
+    return run
+
+
 @pytest.mark.parametrize("check, source, corrupt", [
     ("check_ergodic", "_eq1_estimator", _flipped),
     ("check_strictly_ergodic", "_spectral_data", _one_count_shifted),
     ("check_strictly_ergodic", "_cesaro_norm_estimator", _flipped),
+    ("check_strictly_ergodic", "range_of_defect", _one_column_short),
+    ("check_strictly_ergodic", "invariant_states", _state_doubled),
     ("check_weakly_mixing", "_eq2_estimator", _flipped),
     ("check_strictly_weak_mixing", "_mean_norm_estimator", _flipped),
     ("check_exact", "_dual_power_estimator", _flipped),
@@ -506,6 +586,22 @@ def test_a_corrupted_route_raises_method_disagreement(monkeypatch, check,
     monkeypatch.setattr(mixing, source, corrupt(getattr(mixing, source)))
     with pytest.raises(MethodDisagreement):
         getattr(mixing, check)(system)
+
+
+@pytest.mark.parametrize("check, source, path", [
+    ("check_weakly_mixing", "_eq1_estimator",
+     "weak mixing → tensor square → ergodicity: "),
+    ("check_strictly_weak_mixing", "_cesaro_norm_estimator",
+     "strict weak mixing → tensor square → strict ergodicity routes disagree"),
+])
+def test_a_nested_disagreement_names_its_path(monkeypatch, check, source, path):
+    # the corrupted estimator is read only by the tensor square's check
+    from cstar_mixing import MethodDisagreement
+    monkeypatch.setattr(mixing, source, _flipped(getattr(mixing, source)))
+    with pytest.raises(MethodDisagreement) as info:
+        getattr(mixing, check)(chain_system())
+    assert str(info.value).startswith(path)
+    assert isinstance(info.value.__cause__, MethodDisagreement)
 
 
 def _watch_tensor_squares(monkeypatch):

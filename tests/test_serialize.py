@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_mixing import (
     AlgebraShape,
@@ -90,6 +93,46 @@ def test_config_overrides_roundtrip():
     assert back.config.estimator_n == 1024
     # defaults produce no config block at all
     assert "config" not in system_to_dict(chain_system())
+
+
+@st.composite
+def small_shapes(draw):
+    """Block sides with D = sum of squares <= 9: (3), (2, 2), (2, 1, 1, 1,
+    1, 1), nine 1x1 blocks, ...; each side fits the room left, so no draw
+    is rejected."""
+    blocks, room = [], 9
+    while room and (not blocks or draw(st.booleans())):
+        n = draw(st.integers(1, math.isqrt(room)))
+        blocks.append(n)
+        room -= n * n
+    return AlgebraShape(blocks)
+
+
+OVERRIDES = st.sampled_from([{}, {"tol_spectral": 1e-9},
+                             {"estimator_n": 1024, "dyadic_factor": 0.5}])
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_shapes(), st.integers(1, 4), st.integers(0, 2**32 - 1),
+       st.booleans(), OVERRIDES)
+def test_random_systems_round_trip_exactly(shape, kraus_count, seed, explicit,
+                                           overrides):
+    from cstar_mixing import from_superoperator
+    cfg = DEFAULT.replace(**overrides)
+    op = random_unital_cp(shape, kraus_count, seed=seed, config=cfg)
+    if explicit:
+        op = from_superoperator(shape, op.matrix, config=cfg)
+    system = DynamicalSystem(op, canonical_invariant_state(op, cfg), cfg)
+    doc = system_to_dict(system)
+    assert doc.get("config", {}) == overrides
+    for back in (parse_system(json.dumps(doc)), system_from_dict(doc)):
+        assert back.shape == system.shape
+        assert np.array_equal(back.operator.matrix, system.operator.matrix)
+        assert np.array_equal(back.state.vec(), system.state.vec())
+        assert back.config == cfg
+        assert back.operator.provenance == op.provenance
+        assert back.operator.is_cp_verified() == (not explicit)
+        assert system_to_dict(back) == doc
 
 
 def test_parse_system_reports_syntax_position():
