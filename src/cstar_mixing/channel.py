@@ -450,8 +450,8 @@ def power(op: MarkovOperator, n: int) -> MarkovOperator:
 def tensor(op: MarkovOperator, other: MarkovOperator) -> MarkovOperator:
     """Tensor-product channel on the tensor algebra; requires verified CP.
 
-    The result keeps ``op`` and ``other`` as its ``factors``: the
-    estimators step its orbits as X -> A X B^T on the factor matrices, and
+    The result keeps ``op`` and ``other`` as its ``factors``: ``orbit``
+    steps its orbits as X -> A X B^T on the factor matrices, and
     unless a factor is itself such a product, its spectral data is built
     from theirs (only the SVD of M - I runs on the product's matrix). The
     dense matrix is still formed.

@@ -12,12 +12,11 @@ disagreement, 4 numerical breakdown.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
 from . import __version__
-from .config import Config, DEFAULT
+from .config import Config, DEFAULT, FIELD_TYPES
 from .errors import (
     DisagreementFailure,
     MethodDisagreement,
@@ -64,18 +63,16 @@ def _config_from_flags(args: argparse.Namespace) -> tuple[Config, dict]:
         name, sep, value = item.partition("=")
         if not sep:
             raise ValidationError(f"--set expects FIELD=VALUE, got {item!r}")
-        kinds = {f.name: type(getattr(DEFAULT, f.name))
-                 for f in dataclasses.fields(Config)}
-        if name not in kinds:
+        if name not in FIELD_TYPES:
             raise ValidationError(
                 f"--set {name}: unknown config field; valid: "
-                + ", ".join(sorted(kinds)))
+                + ", ".join(sorted(FIELD_TYPES)))
         try:
-            overrides[name] = kinds[name](value)
+            overrides[name] = FIELD_TYPES[name](value)
         except ValueError:
             raise ValidationError(
-                f"--set {name}: cannot read {value!r} as {kinds[name].__name__}"
-            ) from None
+                f"--set {name}: cannot read {value!r} as "
+                f"{FIELD_TYPES[name].__name__}") from None
     if getattr(args, "tol_spectral", None) is not None:
         overrides["tol_spectral"] = args.tol_spectral
     return DEFAULT.replace(**overrides), overrides

@@ -3,12 +3,15 @@
 One frozen dataclass holds every numeric knob in the package so that reports
 can embed the exact configuration they were produced under. Defaults are the
 contract values; anything can be overridden per call via ``replace``.
+Horizons and counts the estimators cannot run with raise ValidationError.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,16 @@ class Config:
 
     seed: int = 0                       # estimator sampling seed
 
+    def __post_init__(self) -> None:
+        for name, low in (("estimator_n", 2), ("estimator_pairs", 1),
+                          ("dyadic_window", 1)):
+            if getattr(self, name) < low:
+                raise ValidationError(
+                    f"{name} must be at least {low}, got {getattr(self, name)}")
+        n = self.exact_power_n
+        if n < 2 or n & (n - 1):
+            raise ValidationError(f"power horizon must be a power of two, got {n}")
+
     def replace(self, **overrides: object) -> "Config":
         """Copy with the given fields replaced; unknown names raise TypeError."""
         return dataclasses.replace(self, **overrides)
@@ -64,3 +77,7 @@ class Config:
 
 
 DEFAULT = Config()
+
+# the type of every field, as read from its default: int or float
+FIELD_TYPES = {f.name: type(getattr(DEFAULT, f.name))
+               for f in dataclasses.fields(Config)}

@@ -36,7 +36,7 @@ from .channel import (
     from_superoperator,
     invariant_states,
 )
-from .config import Config, DEFAULT
+from .config import Config, DEFAULT, FIELD_TYPES
 from .errors import ParseError, ValidationError, ValidationFailure
 from .mixing import (
     DynamicalSystem,
@@ -152,16 +152,14 @@ def _expect_object(obj: Any, where: str, required: tuple[str, ...],
 def _parse_config(obj: Any, base: Config) -> Config:
     if not isinstance(obj, dict):
         raise ParseError("config: expected an object of overrides")
-    kinds = {f.name: type(getattr(DEFAULT, f.name))
-             for f in dataclasses.fields(Config)}
-    bad = sorted(set(obj) - set(kinds))
+    bad = sorted(set(obj) - set(FIELD_TYPES))
     if bad:
         raise ParseError(f"config: unknown fields {bad}; valid: "
-                         + ", ".join(sorted(kinds)))
+                         + ", ".join(sorted(FIELD_TYPES)))
     for k, v in obj.items():
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParseError(f"config.{k}: expected a number, got {v!r}")
-        if kinds[k] is int and not isinstance(v, int):
+        if FIELD_TYPES[k] is int and not isinstance(v, int):
             raise ParseError(f"config.{k}: expected an integer, got {v!r}")
     return base.replace(**obj)
 

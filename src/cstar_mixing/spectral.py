@@ -29,6 +29,7 @@ from .algebra import tensor_permutation
 from .channel import MarkovOperator
 from .config import DEFAULT, Config
 from .errors import DefectivePeripheral, EigensolverFailure
+from .orbit import _orbit_sums
 
 
 def _cut(s: np.ndarray, rel_tol: float) -> float:
@@ -79,11 +80,6 @@ def _cluster_labels(eigs: np.ndarray, radius: float
     out[order] = rank[index]
     return out, [(complex(c), int(k))
                  for c, k in zip(centers[ranked], mult[ranked])]
-
-
-def _cluster(eigs: np.ndarray, radius: float) -> list[tuple[complex, int]]:
-    """Chain clusters of ``eigs`` as (center, multiplicity) pairs."""
-    return _cluster_labels(eigs, radius)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,7 +228,7 @@ def _analyse_product(op: MarkovOperator, config: Config) -> _SpectralData:
     u, s, fixed = _defect_svd(op.matrix, config)
     eigs = np.multiply.outer(np.array(a.summary.eigenvalues),
                              np.array(b.summary.eigenvalues)).ravel()
-    clusters = _cluster(eigs, config.tol_cluster)
+    clusters = _cluster_labels(eigs, config.tol_cluster)[1]
     ca, ma = (np.array(x) for x in zip(*a.summary.clusters))
     cb, mb = (np.array(x) for x in zip(*b.summary.clusters))
     pairs = np.argwhere(np.abs(np.multiply.outer(ca, cb) - 1.0)
@@ -326,13 +322,11 @@ def cesaro_projector_iterative(op: MarkovOperator, n: int, tol: float,
                                config: Config = DEFAULT) -> CesaroIterate:
     """Running mean of T^k by dyadic doubling, with extrapolation.
 
-    The sums S_k of T^j over j < k come from the estimators' doubling
-    (S_2m = S_m + T^m S_m, T^2m = (T^m)^2, a general n by its binary
-    expansion), at k = n//2 and n. Non-convergence is reported, never
-    raised.
+    The sums S_k of T^j over j < k come from ``orbit._orbit_sums``, the
+    doubling the linear estimators use (S_2m = S_m + T^m S_m,
+    T^2m = (T^m)^2, a general n by its binary expansion), at k = n//2 and
+    n. Non-convergence is reported, never raised.
     """
-    from .mixing import _orbit_sums
-
     if n < 1:
         raise ValueError("n must be >= 1")
     eye = np.eye(op.dim, dtype=complex)

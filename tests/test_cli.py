@@ -74,6 +74,36 @@ def test_bad_set_flag_is_a_validation_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, named", [
+    ("dyadic_window=0", "dyadic_window"),
+    ("estimator_n=1", "estimator_n"),
+    ("estimator_pairs=0", "estimator_pairs"),
+    ("exact_power_n=1", "power horizon"),
+    ("exact_power_n=24", "power horizon"),
+])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_out_of_range_config_exits_2(tmp_path, capsys, setting, named, source):
+    # horizons and counts the estimators cannot run with are bad input,
+    # whether they come from --set or from a system file's config section
+    if source == "flag":
+        argv = ["example", "1", "--d", "4", "--out", str(tmp_path),
+                "--set", setting]
+    else:
+        name, _, value = setting.partition("=")
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({
+            "algebra": {"blocks": [1, 1]},
+            "operator": {"kind": "stochastic",
+                         "data": [[0.7, 0.3], [0.4, 0.6]]},
+            "config": {name: int(value)},
+        }))
+        argv = ["classify", str(path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
+
+
 def test_invalid_stochastic_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

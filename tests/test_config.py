@@ -2,7 +2,7 @@ import dataclasses
 import pathlib
 import re
 
-from cstar_mixing.config import Config
+from cstar_mixing.config import DEFAULT, Config
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "cstar_mixing"
 
@@ -16,3 +16,9 @@ def test_every_config_field_is_read():
     unread = [f.name for f in dataclasses.fields(Config)
               if not re.search(rf"\b(?:config|cfg)\.{f.name}\b", text)]
     assert unread == []
+
+
+def test_short_horizons_are_accepted():
+    # too short for the estimators to see much mixing, but not malformed
+    for n in (2, 3):
+        assert DEFAULT.replace(estimator_n=n).estimator_n == n

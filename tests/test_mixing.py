@@ -30,7 +30,7 @@ from cstar_mixing import (
     tensor_system,
     verify_theorem,
 )
-from cstar_mixing import mixing
+from cstar_mixing import mixing, orbit
 from cstar_mixing.config import DEFAULT
 from cstar_mixing.mixing import _corner_unital_cp
 
@@ -363,7 +363,7 @@ def _stepped_sums(matrix, x0, n):
 @pytest.mark.parametrize("kind", LINEAR_SYSTEMS)
 @pytest.mark.parametrize("n, w", [(64, 8), (100, 8), (7, 3), (31, 5), (2, 1)])
 def test_orbit_sums_match_step_by_step(kind, n, w):
-    from cstar_mixing.mixing import _orbit_sums, _sample_lengths
+    from cstar_mixing.orbit import _orbit_sums, _sample_lengths
     system = LINEAR_SYSTEMS[kind]()
     x0 = np.random.default_rng(1).standard_normal((system.shape.dim, 3)) + 0j
     ks, layout, sums = _orbit_sums(system.operator, x0, n, w)
@@ -439,15 +439,14 @@ def test_linear_estimators_match_step_by_step(kind, n):
                                        "_cesaro_norm_estimator"])
 def test_linear_estimators_take_logarithmically_many_steps(monkeypatch, kind,
                                                            estimator):
-    from cstar_mixing import mixing
     system = LINEAR_SYSTEMS[kind]()
     steps = []
-    real_step = mixing._OrbitLayout.step
+    real_step = orbit._OrbitLayout.step
 
     def step(self, x):
         steps.append(x.shape)
         return real_step(self, x)
-    monkeypatch.setattr(mixing._OrbitLayout, "step", step)
+    monkeypatch.setattr(orbit._OrbitLayout, "step", step)
     n = DEFAULT.estimator_n
     assert n == 4096
     getattr(mixing, estimator)(system, np.random.default_rng(0), DEFAULT)
@@ -456,7 +455,7 @@ def test_linear_estimators_take_logarithmically_many_steps(monkeypatch, kind,
 
 @pytest.mark.parametrize("n", [96, 100, 4096])
 def test_orbit_blocks_follow_the_stride(n):
-    from cstar_mixing.mixing import _orbit
+    from cstar_mixing.orbit import _orbit
     system = LINEAR_SYSTEMS["tensor_square"]()
     x0 = np.random.default_rng(2).standard_normal((system.shape.dim, 2)) + 0j
     s, layout, strides = _orbit(system.operator, x0, n)
@@ -474,13 +473,13 @@ def test_orbit_blocks_follow_the_stride(n):
 def test_mean_norm_orbit_stops_once_every_probe_is_at_the_floor(monkeypatch):
     # the first stride of 64 takes log2(64) = 6 steps (``_widen``), and each
     # later stride one step of T^64
-    real_step = mixing._OrbitLayout.step
+    real_step = orbit._OrbitLayout.step
     steps = []
 
     def step(self, x):
         steps.append(x.shape)
         return real_step(self, x)
-    monkeypatch.setattr(mixing._OrbitLayout, "step", step)
+    monkeypatch.setattr(orbit._OrbitLayout, "step", step)
 
     def run(kraus_count):
         steps.clear()
@@ -696,19 +695,19 @@ def test_a_defective_one_cluster_is_a_numerical_failure():
 
 
 def test_power_estimators_square_once_and_match_matrix_powers(monkeypatch):
-    from cstar_mixing import mixing
     from cstar_mixing.algebra import operator_norms, random_state
     system = sys_for(random_unital_cp(AlgebraShape([1, 2]), 2, seed=12))
     cfg = DEFAULT.replace(exact_power_n=16)
-    pairs = []
-    real = mixing._matrix_power_pair
+    squarings = []
+    real = orbit._OrbitLayout.squared
 
-    def counted(*args):
-        pairs.append(args)
-        return real(*args)
-    monkeypatch.setattr(mixing, "_matrix_power_pair", counted)
+    def counted(self):
+        squarings.append(self)
+        return real(self)
+    monkeypatch.setattr(orbit._OrbitLayout, "squared", counted)
     got = mixing._power_estimators(system, np.random.default_rng(4), cfg)
-    assert len(pairs) == 1
+    # one ladder T, T^2, ..., T^16: T^8 and T^16 are its last two rungs
+    assert len(squarings) == 4
     # the reference draws in the same order: norm probes, weak probes, states
     rng = np.random.default_rng(4)
     x_norm = mixing._centered_columns(

@@ -23,7 +23,7 @@ from cstar_mixing import (
 from cstar_mixing.config import DEFAULT
 from cstar_mixing.mixing import _corner_unital_cp
 from cstar_mixing.models import example2
-from cstar_mixing.spectral import _analyse, _cluster, _cluster_labels
+from cstar_mixing.spectral import _analyse, _cluster_labels
 
 
 def shift4():
@@ -248,7 +248,7 @@ def _tensor_square_eigs(blocks, kraus, seed):
 ])
 def test_cluster_matches_greedy_merge_reference(eigs):
     radius = DEFAULT.tol_cluster
-    got = _cluster(eigs, radius)
+    got = _cluster_labels(eigs, radius)[1]
     ref = _cluster_reference(eigs, radius)
     assert [k for _, k in got] == [k for _, k in ref]
     assert max(abs(a - b) for (a, _), (b, _) in zip(got, ref)) <= 1e-14
@@ -275,9 +275,9 @@ def test_cluster_joins_chains():
     radius = DEFAULT.tol_cluster
     # neighbours 0.6 radius apart, ends 1.2 radius apart: one cluster
     chain = np.array([0.5, 0.5 + 0.6 * radius, 0.5 + 1.2 * radius, 1.0])
-    assert [k for _, k in _cluster(chain.astype(complex), radius)] == [3, 1]
+    assert [k for _, k in _cluster_labels(chain.astype(complex), radius)[1]] == [3, 1]
     pair = np.array([0.5, 0.5 + 1.2 * radius])
-    assert [k for _, k in _cluster(pair.astype(complex), radius)] == [1, 1]
+    assert [k for _, k in _cluster_labels(pair.astype(complex), radius)[1]] == [1, 1]
 
 
 def _oracle_operators():

@@ -27,7 +27,7 @@ from cstar_mixing import (
     tensor,
 )
 from cstar_mixing.config import DEFAULT
-from cstar_mixing.mixing import _orbit
+from cstar_mixing.orbit import _orbit
 from cstar_mixing.spectral import _spectral_data
 
 
