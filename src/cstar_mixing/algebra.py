@@ -96,11 +96,14 @@ def _adjoints(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2)
 
 
+@functools.cache
 def transpose_permutation(shape: AlgebraShape) -> np.ndarray:
-    """Index array k with vec(x^T) = x.vec()[k]; an involution."""
+    """Index array k with vec(x^T) = x.vec()[k]; an involution. Memoized
+    per shape; the array is read-only."""
     perm = np.empty(shape.dim, dtype=np.intp)
     for _, idx in _side_classes(shape):
         perm[idx] = idx.transpose(0, 2, 1)
+    perm.setflags(write=False)
     return perm
 
 
@@ -385,13 +388,15 @@ def jordan_decompose(h: Functional, tol: float = 1e-10) -> tuple[Functional, Fun
 # tensor products
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def tensor_permutation(a: AlgebraShape, b: AlgebraShape) -> np.ndarray:
     """Source indices s with vec(x (x) y) = (x.vec() kron y.vec())[s].
 
     Fixes the correspondence between the Kronecker product of vectorized
     elements and the vectorization of the tensor-product element under the
     row-major block order; superoperator tensoring conjugates by it. Built
-    in one broadcast per pair of block sides.
+    in one broadcast per pair of block sides; memoized per pair of shapes,
+    and the array is read-only.
     """
     db = b.dim
     out = np.empty(a.dim * db, dtype=np.intp)
@@ -408,6 +413,7 @@ def tensor_permutation(a: AlgebraShape, b: AlgebraShape) -> np.ndarray:
             tgt = pos[i, j] + (p * m + r) + n * m * (q * m + s)
             src = (offa[i] + p + n * q) * db + offb[j] + r + m * s
             out[tgt.reshape(-1)] = src.reshape(-1)
+    out.setflags(write=False)
     return out
 
 

@@ -53,7 +53,9 @@ class Config:
                     f"{name} must be at least {low}, got {getattr(self, name)}")
         n = self.exact_power_n
         if n < 2 or n & (n - 1):
-            raise ValidationError(f"power horizon must be a power of two, got {n}")
+            raise ValidationError(
+                "exact_power_n must be a power of two of at least 2 "
+                f"(the power horizon), got {n}")
 
     def replace(self, **overrides: object) -> "Config":
         """Copy with the given fields replaced; unknown names raise TypeError."""

@@ -13,12 +13,15 @@ value at N/2, by ``sequences.dyadic_decreasing``. The window maximum
 passing or failing on the phase they happen to be caught at.
 Every T^k step comes from ``orbit``: orbit sums by dyadic doubling for the
 linear estimators, strided walks for those that read every step, and the
-squaring ladder for the power estimators. The mean of norms stops at the
-end of the first stride after which every probe's Frobenius norm is at
-most 1e-14, about 50 ulp: a unital positive map contracts the operator
-norm, so every later term is at most that floor, and the terms not walked
-count as the floor. Its trace records the horizon walked as
-``floor_step`` (None when the floor is never reached).
+squaring ladder for the power estimators. The mean of norms rests on the
+contraction of the operator norm by a unital positive map: along an orbit
+the norms never increase. A stride whose end norms agree to 1e-12 of its
+norm is therefore filled by interpolating between them, without an
+eigvalsh per step. The walk stops at the end of the first stride after
+which every probe's Frobenius norm is at most 1e-14, about 50 ulp: every
+later term is at most that floor, and the terms not walked count as the
+floor. Its trace records the horizon walked as ``floor_step`` (None when
+the floor is never reached) and the strides filled as ``flat_strides``.
 
 Each property has one implementation, its public ``check_*``, which
 ``classify`` and the verifier's trials call. Inside a ``_sharing()`` scope,
@@ -382,36 +385,57 @@ def _centered_columns(sys: DynamicalSystem, xs: list[AlgebraElement]) -> np.ndar
 # Orbit norms at or below this are rounding noise: about 50 ulp on the
 # unit-norm probes, whose decayed orbits settle near 1e-15 in operator norm.
 _NORM_FLOOR = 1e-14
+# A stride whose end norms agree to this fraction of its first norm is
+# filled from them. On most unitary draws the ends drift apart by 3e-14 to
+# 8.4e-13 of their norm over a stride of 64, from rounding; at 2.5e-13 some
+# of those would still be walked step by step. A few draws (about 2% on
+# M_3, 8% on M_4) contract by up to 1.3e-11 per stride and are walked.
+_FLAT_STRIDE = 1e-12
 
 
 def _orbit_norm_series(sys: DynamicalSystem, x0: np.ndarray,
-                       n: int) -> tuple[np.ndarray, int | None]:
-    """(w, floor_step) with w[k, j] = ||T^k applied to column j|| for k < n
-    (operator norm); the columns are Hermitian, and T preserves Hermiticity.
+                       n: int) -> tuple[np.ndarray, int | None, int]:
+    """(w, floor_step, flat_strides) with w[k, j] = ||T^k applied to column
+    j|| for k < n (operator norm); the columns are Hermitian, and T
+    preserves Hermiticity.
+
+    A unital positive map is an operator-norm contraction (Russo-Dye), so
+    each probe's norms never increase along the orbit, and the two ends of
+    a stride of ``_orbit`` bracket every norm inside it. The ends of each
+    stride are evaluated first; where every probe's ends agree to
+    ``_FLAT_STRIDE`` of its first norm, as on the isometric orbits of a
+    *-automorphism, the stride is filled by linear interpolation between
+    them, which is within that fraction of the true norms up to rounding.
+    flat_strides counts the strides so filled. Each other stride has all
+    its rows evaluated in one stacked call as it is walked, so at most one
+    stride of the orbit is held at a time.
 
     The orbit stops at the end of the first stride after which every
     column's Frobenius norm, an upper bound on its operator norm, is at most
     ``_NORM_FLOOR``; floor_step is the number of steps walked by then, None
-    if the orbit never gets there. A unital positive map is an operator-norm
-    contraction (Russo-Dye), so no later norm exceeds the floor, and the
-    rows past floor_step are filled with it: every Cesàro mean of w stays an
-    upper bound of the true one, up to rounding. For an operator whose
-    positivity is only declared, the bound rests on that claim, as the
-    Jordan-part argument of ``invariant_states`` does.
+    if the orbit never gets there. By the same contraction no later norm
+    exceeds the floor, and the rows past floor_step are filled with it:
+    every Cesàro mean of w stays an upper bound of the true one, up to
+    rounding. For an operator whose positivity is only declared, the fill
+    and the floor rest on that claim, as the Jordan-part argument of
+    ``invariant_states`` does.
     """
     d, m = x0.shape
     s, layout, strides = _orbit(sys.operator, x0, n)
-    traj = np.empty((n, m, d), dtype=complex)
-    floor_step = None
+    norms = np.full((n, m), _NORM_FLOOR)
+    floor_step, flat = None, 0
     for b, x in zip(range(0, n, s), strides):
-        traj[b:b + s] = layout.columns_out(x).T.reshape(s, m, d)
-        if np.linalg.norm(traj[b + s - 1], axis=1).max() <= _NORM_FLOOR:
+        rows = layout.columns_out(x).T.reshape(s, m, d)
+        first, last = hermitian_operator_norms(sys.shape, rows[[0, -1]])
+        if np.all(np.abs(first - last) <= _FLAT_STRIDE * first):
+            norms[b:b + s] = np.linspace(first, last, s)
+            flat += 1
+        else:
+            norms[b:b + s] = hermitian_operator_norms(sys.shape, rows)
+        if np.linalg.norm(rows[-1], axis=1).max() <= _NORM_FLOOR:
             floor_step = b + s
             break
-    walked = n if floor_step is None else floor_step
-    norms = np.full((n, m), _NORM_FLOOR)
-    norms[:walked] = hermitian_operator_norms(sys.shape, traj[:walked])
-    return norms, floor_step
+    return norms, floor_step, flat
 
 
 def _mean_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
@@ -424,12 +448,12 @@ def _mean_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     x0 = _centered_columns(sys, xs)
     n = cfg.estimator_n
     w = min(cfg.dyadic_window, n // 2)
-    norms, floor_step = _orbit_norm_series(sys, x0, n)
+    norms, floor_step, flat = _orbit_norm_series(sys, x0, n)
     running = np.cumsum(norms, axis=0) / np.arange(1, n + 1)[:, None]
     trace, half, full = _read_samples(running[_sample_lengths(n, w) - 1], n, w)
     ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
     return ok, {"trace": trace, "final": [float(v) for v in full],
-                "floor_step": floor_step}
+                "floor_step": floor_step, "flat_strides": flat}
 
 
 def _norm_trace(sys: DynamicalSystem, config: Config, seed: int) -> tuple[bool, dict]:

@@ -13,7 +13,10 @@ at the trace checkpoints and in the trailing windows ending at N/2 and N,
 which ``_orbit_sums`` gives by dyadic doubling in about 2 log2 N products.
 Only the estimators that need every step (the correlation modulus and the
 mean of norms) walk the orbit, by ``_orbit``, in strides of up to 64 steps
-per product.
+per product. The correlation modulus reads every element. The mean of
+norms reads only the two ends of a stride whose norms stay flat, and fills
+the rest: a unital positive map never increases a norm, so the ends bound
+the stride.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from cstar_mixing.algebra import (
     random_state,
     tensor_permutation,
     trace_norms,
+    transpose_permutation,
 )
 from cstar_mixing.errors import NotHermitian, ShapeMismatch
 
@@ -341,7 +342,7 @@ def test_orbit_norms_match_the_svd_of_the_orbit(shape, kraus_count, seed):
     rng = np.random.default_rng(seed)
     x = _centered_columns(system, [random_hermitian_element(shape, rng)
                                    for _ in range(3)])
-    norms, _ = _orbit_norm_series(system, x, 64)
+    norms, _, _ = _orbit_norm_series(system, x, 64)
     ref = []
     for _ in range(64):
         ref.append(operator_norms(shape, x.T))
@@ -370,3 +371,15 @@ def test_tensor_permutation_matches_the_blockwise_loop(a, b):
     a, b = AlgebraShape(a), AlgebraShape(b)
     assert np.array_equal(tensor_permutation(a, b),
                           _tensor_permutation_by_loop(a, b))
+
+
+def test_index_permutations_are_memoized_read_only():
+    # callers index with them and never write; one array per shape
+    a, b = AlgebraShape([2, 3]), AlgebraShape([1, 1, 2])
+    for first, again in (
+            (transpose_permutation(a), transpose_permutation(AlgebraShape([2, 3]))),
+            (tensor_permutation(a, b), tensor_permutation(a, AlgebraShape([1, 1, 2])))):
+        assert again is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0

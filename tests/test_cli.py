@@ -80,6 +80,8 @@ def test_bad_set_flag_is_a_validation_error(tmp_path, capsys):
     ("estimator_pairs=0", "estimator_pairs"),
     ("exact_power_n=1", "power horizon"),
     ("exact_power_n=24", "power horizon"),
+    ("exact_power_n=1", "exact_power_n"),
+    ("exact_power_n=24", "exact_power_n"),
 ])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_out_of_range_config_exits_2(tmp_path, capsys, setting, named, source):

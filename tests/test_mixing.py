@@ -22,6 +22,7 @@ from cstar_mixing import (
     check_weakly_mixing,
     classify,
     example2,
+    from_kraus,
     from_stochastic,
     from_superoperator,
     identity_channel,
@@ -499,19 +500,16 @@ def test_mean_norm_orbit_stops_once_every_probe_is_at_the_floor(monkeypatch):
     assert count == 6 + n // s - 1
 
 
-@pytest.mark.parametrize("kraus_count", [1, 2, 3, 4])
-@pytest.mark.parametrize("blocks", [[3], [2, 3], [4]])
-def test_stopped_orbit_norms_match_step_by_step(blocks, kraus_count):
+def _assert_norms_match_step_by_step(system):
     # past the stop the series holds the floor and the true norms lie in
     # [0, floor], so they differ by at most the floor; before it, the two
     # orbits differ by rounding, which on a unitary orbit of 4,096 steps
     # grows to about 1e-13 of its unit norm
     from cstar_mixing.algebra import operator_norms
-    system = sys_for(random_unital_cp(AlgebraShape(blocks), kraus_count, seed=0))
     x = mixing._centered_columns(system, mixing._random_probe_elements(
         system, np.random.default_rng(1), DEFAULT))
     n = DEFAULT.estimator_n
-    norms, floor_step = mixing._orbit_norm_series(system, x, n)
+    norms, floor_step, flat = mixing._orbit_norm_series(system, x, n)
     orbit = []
     for _ in range(n):
         orbit.append(x.T)
@@ -521,16 +519,117 @@ def test_stopped_orbit_norms_match_step_by_step(blocks, kraus_count):
     if floor_step is not None:
         assert np.all(norms[floor_step:] == mixing._NORM_FLOOR)
         assert np.max(ref[floor_step:]) <= mixing._NORM_FLOOR
+    return flat
+
+
+@pytest.mark.parametrize("kraus_count", [1, 2, 3, 4])
+@pytest.mark.parametrize("blocks", [[3], [2, 3], [4]])
+def test_stopped_orbit_norms_match_step_by_step(blocks, kraus_count):
+    _assert_norms_match_step_by_step(
+        sys_for(random_unital_cp(AlgebraShape(blocks), kraus_count, seed=0)))
+
+
+@pytest.mark.parametrize("eps", [1e-15, 1e-14, 1e-12, 1e-9])
+@pytest.mark.parametrize("blocks", [[3], [4]])
+def test_filled_strides_of_near_isometric_orbits_match_step_by_step(blocks, eps):
+    # (1 - eps) Ad_U + eps R loses about 64 eps of its norm over a stride
+    # of 64: at 1e-15 and 1e-14 that is below the cut and every stride is
+    # filled, at 1e-12 and 1e-9 it is far above it and every stride walked
+    shape = AlgebraShape(blocks)
+    u = random_unital_cp(shape, 1, seed=0).kraus[0]
+    r = random_unital_cp(shape, 3, seed=1).kraus
+    op = from_kraus(shape, [np.sqrt(1 - eps) * u]
+                    + [np.sqrt(eps) * a for a in r])
+    flat = _assert_norms_match_step_by_step(sys_for(op))
+    assert flat == (DEFAULT.estimator_n // 64 if eps < 1e-13 else 0)
+
+
+def _norm_series_by_full_walk(system, x0, n):
+    """The mean-of-norms series with every stride walked: all rows up to the
+    floor in one (n, m, d) array and one stacked eigvalsh over them."""
+    from cstar_mixing.algebra import hermitian_operator_norms
+    d, m = x0.shape
+    s, layout, strides = orbit._orbit(system.operator, x0, n)
+    traj = np.empty((n, m, d), dtype=complex)
+    floor_step = None
+    for b, x in zip(range(0, n, s), strides):
+        traj[b:b + s] = layout.columns_out(x).T.reshape(s, m, d)
+        if np.linalg.norm(traj[b + s - 1], axis=1).max() <= mixing._NORM_FLOOR:
+            floor_step = b + s
+            break
+    walked = n if floor_step is None else floor_step
+    norms = np.full((n, m), mixing._NORM_FLOOR)
+    norms[:walked] = hermitian_operator_norms(system.shape, traj[:walked])
+    return norms, floor_step
+
+
+@pytest.mark.parametrize("blocks", [[3], [2, 3], [4]])
+def test_decaying_orbit_norms_are_the_full_walks(blocks):
+    # a decaying orbit has no flat stride, so its norms are the full walk's
+    # bit for bit
+    system = sys_for(random_unital_cp(AlgebraShape(blocks), 3, seed=0))
+    x = mixing._centered_columns(system, mixing._random_probe_elements(
+        system, np.random.default_rng(1), DEFAULT))
+    n = DEFAULT.estimator_n
+    norms, floor_step, flat = mixing._orbit_norm_series(system, x, n)
+    ref, ref_floor_step = _norm_series_by_full_walk(system, x, n)
+    assert flat == 0
+    assert floor_step == ref_floor_step
+    assert np.array_equal(norms, ref)
+
+
+def test_flat_strides_evaluate_only_their_ends(monkeypatch):
+    # a unitary conjugation keeps every norm, so each stride of 64 costs the
+    # norms of its first and last rows, 2 m of them, and none of the others
+    system = sys_for(random_unital_cp(AlgebraShape([3]), 1, seed=0))
+    x = mixing._centered_columns(system, mixing._random_probe_elements(
+        system, np.random.default_rng(0), DEFAULT))
+    real = mixing.hermitian_operator_norms
+    evaluated = []
+
+    def counted(shape, stacked):
+        evaluated.append(stacked.size // stacked.shape[-1])
+        return real(shape, stacked)
+    monkeypatch.setattr(mixing, "hermitian_operator_norms", counted)
+    m, n, s = x.shape[1], DEFAULT.estimator_n, 64
+    _, floor_step, flat = mixing._orbit_norm_series(system, x, n)
+    assert floor_step is None and flat == n // s
+    assert len(evaluated) == n // s
+    assert all(k <= 2 * m for k in evaluated)
+
+
+def test_a_stride_is_filled_only_when_every_probe_is_flat():
+    # swapping states 0 and 1 keeps e0 - e1 at norm 1, while states 2 and 3
+    # mix and e2 - e3 shrinks by 0.98 a step: no stride is flat for both
+    P = np.zeros((4, 4))
+    P[0, 1] = P[1, 0] = 1.0
+    P[2:, 2:] = [[0.99, 0.01], [0.01, 0.99]]
+    op = from_stochastic(P)
+    system = DynamicalSystem(op, Functional.uniform_state(op.shape))
+    x = np.array([[1, -1, 0, 0], [0, 0, 1, -1]], dtype=complex).T
+    n = DEFAULT.estimator_n
+    norms, floor_step, flat = mixing._orbit_norm_series(system, x, n)
+    assert floor_step is None and flat == 0
+    np.testing.assert_allclose(norms[:, 0], 1.0, rtol=1e-12)
+    np.testing.assert_allclose(norms[:, 1], 0.98 ** np.arange(n), rtol=1e-12,
+                               atol=mixing._NORM_FLOOR)
 
 
 def test_the_norm_trace_reports_its_floor_step():
     rep = classify(chain_system())
-    step = rep.witnesses["strictly_weak_mixing"]["estimator"]["floor_step"]
+    est = rep.witnesses["strictly_weak_mixing"]["estimator"]
+    step = est["floor_step"]
     assert isinstance(step, int) and 0 < step < DEFAULT.estimator_n
+    assert est["flat_strides"] == 0
     traces = rep.witnesses["phi_ergodic_equiv"]["traces"]
     assert traces["cesaro_of_norms"]["floor_step"] == step
+    assert traces["cesaro_of_norms"]["flat_strides"] == 0
     rep = classify(sys_for(random_unital_cp(AlgebraShape([2]), 1, seed=43)))
-    assert rep.witnesses["strictly_weak_mixing"]["estimator"]["floor_step"] is None
+    est = rep.witnesses["strictly_weak_mixing"]["estimator"]
+    assert est["floor_step"] is None
+    assert est["flat_strides"] == DEFAULT.estimator_n // 64
+    traces = rep.witnesses["phi_ergodic_equiv"]["traces"]
+    assert traces["cesaro_of_norms"]["flat_strides"] == est["flat_strides"]
 
 
 def _flipped(real):
