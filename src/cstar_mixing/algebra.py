@@ -41,7 +41,9 @@ class AlgebraShape:
             raise ShapeMismatch(f"block sides must be positive integers, got {blocks}")
         object.__setattr__(self, "blocks", blocks)
 
-    @property
+    # cached on first read; cached attributes are not dataclass fields, so
+    # equality and hashing still see ``blocks`` alone
+    @functools.cached_property
     def dim(self) -> int:
         """Vectorized dimension D = sum of squared block sides."""
         return sum(n * n for n in self.blocks)
@@ -51,8 +53,9 @@ class AlgebraShape:
         """Side N of the block-diagonal embedding into one matrix algebra."""
         return sum(self.blocks)
 
-    @property
+    @functools.cached_property
     def offsets(self) -> tuple[int, ...]:
+        """Vec position of each block's first entry."""
         off, acc = [], 0
         for n in self.blocks:
             off.append(acc)
@@ -105,6 +108,47 @@ def transpose_permutation(shape: AlgebraShape) -> np.ndarray:
         perm[idx] = idx.transpose(0, 2, 1)
     perm.setflags(write=False)
     return perm
+
+
+@functools.cache
+def _identity_vec(shape: AlgebraShape) -> np.ndarray:
+    """vec of the unit, identity blocks. Memoized per shape; read-only."""
+    one = np.zeros(shape.dim, dtype=complex)
+    for n, idx in _side_classes(shape):
+        one[idx[:, range(n), range(n)]] = 1.0
+    one.setflags(write=False)
+    return one
+
+
+@functools.cache
+def _draw_positions(shape: AlgebraShape) -> np.ndarray:
+    """(2, D) index array: the positions, in one row of 2D standard normals,
+    of the real (row 0) and imaginary (row 1) part of each vec entry.
+
+    Block by block, the row holds the block's real parts as an n x n
+    array, then its imaginary parts, each row-major: the order in which
+    drawing the blocks one at a time consumes the generator. Memoized per
+    shape; the array is read-only.
+    """
+    pos = np.empty((2, shape.dim), dtype=np.intp)
+    for n, idx in _side_classes(shape):
+        # a block at vec offset p starts at row offset 2p
+        re = 2 * idx[:, :1, :1] + np.arange(n * n).reshape(n, n)
+        pos[0, idx], pos[1, idx] = re, re + n * n
+    pos.setflags(write=False)
+    return pos
+
+
+def block_products(shape: AlgebraShape, a: np.ndarray,
+                   b: np.ndarray) -> np.ndarray:
+    """vec of the blockwise products x y, for vecs of x and y along the last
+    axes of ``a`` and ``b`` (leading axes broadcast). One matmul per block
+    side; a 1x1 block goes through matmul too, since an elementwise complex
+    product can round differently from one block's ``@``."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for _, idx in _side_classes(shape):
+        out[..., idx] = np.take(a, idx, axis=-1) @ np.take(b, idx, axis=-1)
+    return out
 
 
 def _fold_block_values(shape: AlgebraShape, stacked: np.ndarray,
@@ -289,12 +333,12 @@ class AlgebraElement(_BlockVector):
     def __matmul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Blockwise algebra product."""
         self._same_shape(other)
-        return AlgebraElement(self.shape,
-                              [a @ b for a, b in zip(self.blocks, other.blocks)])
+        return AlgebraElement._of(self.shape,
+                                  block_products(self.shape, self._vec, other._vec))
 
     @staticmethod
     def identity(shape: AlgebraShape) -> "AlgebraElement":
-        return AlgebraElement(shape, [np.eye(n) for n in shape.blocks])
+        return AlgebraElement._of(shape, _identity_vec(shape))
 
     @staticmethod
     def zero(shape: AlgebraShape) -> "AlgebraElement":
@@ -346,8 +390,7 @@ class Functional(_BlockVector):
     @staticmethod
     def uniform_state(shape: AlgebraShape) -> "Functional":
         """The maximally mixed state: identity blocks over the embedding trace."""
-        N = shape.matrix_dim
-        return Functional(shape, [np.eye(n) / N for n in shape.blocks])
+        return Functional._of(shape, _identity_vec(shape) / shape.matrix_dim)
 
 
 def functional_norm(psi: Functional) -> float:
@@ -476,38 +519,81 @@ def product_pairing_matrix(psi: Functional) -> np.ndarray:
     """Quadratic form Q with psi(y @ z) = vec(y)^T Q vec(z).
 
     Block-diagonal; the block for sigma follows from
-    tr(sigma y z) = sum over p,q,r of sigma[p,q] y[q,r] z[r,p].
+    tr(sigma y z) = sum over p,q,r of sigma[p,q] y[q,r] z[r,p], and the
+    blocks of one side are written together.
     """
     shape = psi.shape
     q = np.zeros((shape.dim, shape.dim), dtype=complex)
-    for n, sigma, pos in zip(shape.blocks, psi.blocks, shape.offsets):
-        eye = np.eye(n)
-        blk = np.einsum("rs,pq->rqps", eye, sigma).reshape(n * n, n * n)
-        q[pos:pos + n * n, pos:pos + n * n] = blk
+    for n, idx in _side_classes(shape):
+        blk = np.einsum("rs,jpq->jrqps", np.eye(n), psi.vec()[idx])
+        span = idx[:, :1, :1] + np.arange(n * n)[:, None]
+        q[span, span.swapaxes(1, 2)] = blk.reshape(-1, n * n, n * n)
     return q
+
+
+def _gaussian_vecs(shape: AlgebraShape, rng: np.random.Generator,
+                   m: int) -> np.ndarray:
+    """(m, D): the vecs of m complex Gaussian elements with standard normal
+    real and imaginary parts, from one draw of m rows of 2D normals read
+    through ``_draw_positions``."""
+    re, im = _draw_positions(shape)
+    draws = rng.standard_normal((m, 2 * shape.dim))
+    return np.take(draws, re, axis=1) + 1j * np.take(draws, im, axis=1)
+
+
+def _unit_scaled(vecs: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Each row of ``vecs`` over its norm; a row of norm 0 is kept."""
+    inv = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0)
+    return vecs * inv[:, None]
+
+
+def _random_hermitian_vecs(shape: AlgebraShape, rng: np.random.Generator,
+                           m: int) -> np.ndarray:
+    """(m, D): the Hermitian parts (x + x*)/2 of m ``random_element`` draws."""
+    x = _gaussian_vecs(shape, rng, m) / math.sqrt(2)
+    return (x + np.conj(np.take(x, transpose_permutation(shape), axis=1))) / 2
+
+
+def _random_functional_vecs(shape: AlgebraShape, rng: np.random.Generator,
+                            m: int, normalized: bool = True) -> np.ndarray:
+    """(m, D): m ``random_functional`` draws."""
+    psi = _gaussian_vecs(shape, rng, m) / math.sqrt(2)
+    return _unit_scaled(psi, trace_norms(shape, psi)) if normalized else psi
+
+
+def _random_state_vecs(shape: AlgebraShape, rng: np.random.Generator,
+                       m: int) -> np.ndarray:
+    """(m, D): m ``random_state`` draws, g g* + 1e-12 per block over the
+    total trace, with the products of one block side in one batched matmul.
+    The block traces are summed in block order by a cumulative sum, as one
+    at a time."""
+    g = _gaussian_vecs(shape, rng, m)
+    mats = np.empty_like(g)
+    traces = np.empty((m, shape.dim))
+    for n, idx in _side_classes(shape):
+        stack = np.take(g, idx, axis=1)
+        prod = stack @ _adjoints(stack) + 1e-12 * np.eye(n)
+        mats[:, idx] = prod
+        traces[:, idx[:, 0, 0]] = np.trace(prod, axis1=-2, axis2=-1).real
+    total = np.cumsum(traces[:, shape.offsets], axis=1)[:, -1:]
+    return mats / total
 
 
 def random_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
     """Complex Gaussian blocks with unit-variance entries.
 
     Block by block, the real then the imaginary parts are drawn as n x n
-    arrays; one draw of all of them in that order gives the same numbers.
+    arrays. All of them come from one draw in that order, read into the vec
+    by the per-shape index map ``_draw_positions``; the estimators draw m
+    elements as m rows of the same map.
     """
-    draws = rng.standard_normal(2 * shape.dim)
-    blocks, pos = [], 0
-    for n in shape.blocks:
-        k = n * n
-        re = draws[pos:pos + k].reshape(n, n)
-        im = draws[pos + k:pos + 2 * k].reshape(n, n)
-        blocks.append((re + 1j * im) / math.sqrt(2))
-        pos += 2 * k
-    return AlgebraElement(shape, blocks)
+    return AlgebraElement._of(shape, _gaussian_vecs(shape, rng, 1)[0] / math.sqrt(2))
 
 
 def random_hermitian_element(shape: AlgebraShape,
                              rng: np.random.Generator,
                              normalized: bool = True) -> AlgebraElement:
-    h = random_element(shape, rng).hermitian_parts()[0]
+    h = AlgebraElement._of(shape, _random_hermitian_vecs(shape, rng, 1)[0])
     if normalized:
         nrm = operator_norm(h)
         if nrm > 0:
@@ -517,18 +603,9 @@ def random_hermitian_element(shape: AlgebraShape,
 
 def random_functional(shape: AlgebraShape, rng: np.random.Generator,
                       normalized: bool = True) -> Functional:
-    psi = Functional.from_vec(shape, random_element(shape, rng).vec())
-    if normalized:
-        nrm = functional_norm(psi)
-        if nrm > 0:
-            psi = psi * (1.0 / nrm)
-    return psi
+    psi = _random_functional_vecs(shape, rng, 1, normalized)[0]
+    return Functional._of(shape, psi)
 
 
 def random_state(shape: AlgebraShape, rng: np.random.Generator) -> Functional:
-    mats = []
-    for n in shape.blocks:
-        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        mats.append(g @ g.conj().T + 1e-12 * np.eye(n))
-    total = sum(float(np.trace(m).real) for m in mats)
-    return Functional(shape, [m / total for m in mats])
+    return Functional._of(shape, _random_state_vecs(shape, rng, 1)[0])

@@ -26,6 +26,7 @@ from .algebra import (
     AlgebraShape,
     Functional,
     _adjoints,
+    _identity_vec,
     _side_classes,
     functional_norm,
     hermitian_basis,
@@ -106,17 +107,13 @@ def embedding_matrix(shape: AlgebraShape) -> np.ndarray:
     return E
 
 
-def _unit_vec(shape: AlgebraShape) -> np.ndarray:
-    return AlgebraElement.identity(shape).vec()
-
-
 def _validate_construction(shape: AlgebraShape, matrix: np.ndarray,
                            cfg: Config) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=complex)
     D = shape.dim
     if matrix.shape != (D, D):
         raise ShapeMismatch(f"superoperator must be {D}x{D}, got {matrix.shape}")
-    one = _unit_vec(shape)
+    one = _identity_vec(shape)
     unital_residual = float(np.max(np.abs(matrix @ one - one)))
     if unital_residual > cfg.tol_unital:
         raise NotUnital(f"T(1) deviates from 1 by {unital_residual:.2e}")

@@ -11,6 +11,11 @@ the absolute threshold or at most ``Config.dyadic_factor`` (0.75) times its
 value at N/2, by ``sequences.dyadic_decreasing``. The window maximum
 (rather than a single sample) keeps oscillating-but-decaying traces from
 passing or failing on the phase they happen to be caught at.
+An estimator's m random probes (and its random states or functionals) are
+one (m, D) array of vecs, drawn in one call of the generator through
+``algebra``'s per-shape index map, with the numbers m separate draws would
+give; phi(x_j) is taken by one dot per probe, as ``Functional.__call__``
+takes it, because a batched matrix-vector product rounds differently.
 Every T^k step comes from ``orbit``: orbit sums by dyadic doubling for the
 linear estimators, strided walks for those that read every step, and the
 squaring ladder for the power estimators. The mean of norms rests on the
@@ -54,17 +59,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    AlgebraElement,
     AlgebraShape,
     Functional,
+    _identity_vec,
+    _random_functional_vecs,
+    _random_hermitian_vecs,
+    _random_state_vecs,
+    _unit_scaled,
+    block_products,
     functional_norm,
     hermitian_basis_matrix,
     hermitian_operator_norms,
     product_pairing_matrix,
-    random_hermitian_element,
-    random_functional,
-    random_state,
     trace_norms,
+    transpose_permutation,
 )
 from .channel import (
     MarkovOperator,
@@ -282,13 +290,21 @@ def _dyadic_passes(half: np.ndarray, full: np.ndarray, tol: float,
 
 
 def _random_probe_elements(sys: DynamicalSystem, rng: np.random.Generator,
-                           cfg: Config) -> list[AlgebraElement]:
-    """Random Hermitian elements of unit operator norm, drawn as
-    ``random_hermitian_element`` draws them and scaled by one batched norm."""
-    hs = [random_hermitian_element(sys.shape, rng, normalized=False)
-          for _ in range(cfg.estimator_pairs)]
-    norms = hermitian_operator_norms(sys.shape, np.stack([h.vec() for h in hs]))
-    return [h * (1.0 / nrm) if nrm > 0 else h for h, nrm in zip(hs, norms)]
+                           cfg: Config) -> np.ndarray:
+    """(m, D): the vecs of m = ``cfg.estimator_pairs`` random Hermitian
+    elements of unit operator norm, as rows. They are the numbers m calls of
+    ``random_hermitian_element`` draw, from one draw, scaled by one batched
+    norm."""
+    hs = _random_hermitian_vecs(sys.shape, rng, cfg.estimator_pairs)
+    return _unit_scaled(hs, hermitian_operator_norms(sys.shape, hs))
+
+
+def _state_values(sys: DynamicalSystem, xs: np.ndarray) -> list[complex]:
+    """phi(x_j) for the rows x_j of ``xs``, one dot per probe as
+    ``Functional.__call__`` takes it: one matrix-vector product over the
+    stack rounds differently."""
+    row = sys.state.row()
+    return [complex(row @ x) for x in xs]
 
 
 def _correlation_running(sys: DynamicalSystem, rows: np.ndarray,
@@ -316,13 +332,13 @@ def _correlation_probes(sys: DynamicalSystem, rng: np.random.Generator,
     constants phi(y_j) phi(x_j), columns vec(x_j)."""
     xs = _random_probe_elements(sys, rng, cfg)
     ys = _random_probe_elements(sys, rng, cfg)
-    phi = sys.state
-    rows = np.stack([
-        Functional(sys.shape, [s @ b for s, b in zip(phi.blocks, y.blocks)]).row()
-        for y in ys])
-    consts = np.array([phi(y) * phi(x) for y, x in zip(ys, xs)])
-    x0 = np.column_stack([x.vec() for x in xs])
-    return rows, consts, x0
+    # the functionals phi(y_j .) have the blocks sigma y_j; their rows are
+    # the transposed vecs
+    products = block_products(sys.shape, sys.state.vec(), ys)
+    rows = np.take(products, transpose_permutation(sys.shape), axis=1)
+    consts = np.array([py * px for py, px in zip(_state_values(sys, ys),
+                                                  _state_values(sys, xs))])
+    return rows, consts, np.ascontiguousarray(xs.T)
 
 
 def _signed_means(sys: DynamicalSystem, rows: np.ndarray, consts: np.ndarray,
@@ -366,20 +382,28 @@ def _state_mean_estimator(sys: DynamicalSystem, rng: np.random.Generator,
                           cfg: Config) -> tuple[bool, dict]:
     """Signed Cesàro means of psi(T^k x) - phi(x) for random states psi."""
     xs = _random_probe_elements(sys, rng, cfg)
-    psis = [random_state(sys.shape, rng) for _ in range(cfg.estimator_pairs)]
-    rows = np.stack([p.row() for p in psis])
-    consts = np.array([sys.state(x) for x in xs])
-    x0 = np.column_stack([x.vec() for x in xs])
-    trace, half, full = _signed_means(sys, rows, consts, x0, cfg)
+    rows = _random_state_rows(sys.shape, rng, cfg.estimator_pairs)
+    consts = np.array(_state_values(sys, xs))
+    trace, half, full = _signed_means(sys, rows, consts,
+                                      np.ascontiguousarray(xs.T), cfg)
     ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
     return ok, {"trace": trace}
 
 
-def _centered_columns(sys: DynamicalSystem, xs: list[AlgebraElement]) -> np.ndarray:
-    """Columns vec(x_j - phi(x_j) 1); T acts on them exactly as on the
-    deviation T^k x - phi(x) 1 because T is unital."""
-    one = AlgebraElement.identity(sys.shape).vec()
-    return np.column_stack([x.vec() - sys.state(x) * one for x in xs])
+def _random_state_rows(shape: AlgebraShape, rng: np.random.Generator,
+                       m: int) -> np.ndarray:
+    """(m, D): the dual-pairing rows of m ``random_state`` draws."""
+    return np.take(_random_state_vecs(shape, rng, m),
+                   transpose_permutation(shape), axis=1)
+
+
+def _centered_columns(sys: DynamicalSystem, xs: np.ndarray) -> np.ndarray:
+    """(D, m) columns vec(x_j - phi(x_j) 1) for the rows x_j of ``xs``; T
+    acts on them exactly as on the deviation T^k x - phi(x) 1 because T is
+    unital."""
+    phis = np.array(_state_values(sys, xs))
+    return np.ascontiguousarray(
+        (xs - phis[:, None] * _identity_vec(sys.shape)).T)
 
 
 # Orbit norms at or below this are rounding noise: about 50 ulp on the
@@ -491,8 +515,7 @@ def _power_estimators(sys: DynamicalSystem, rng: np.random.Generator,
     p_half, p_full = power(i - 1).a, power(i).a
     x_norm = _centered_columns(sys, _random_probe_elements(sys, rng, cfg))
     x_weak = _centered_columns(sys, _random_probe_elements(sys, rng, cfg))
-    rows = np.stack([random_state(sys.shape, rng).row()
-                     for _ in range(cfg.estimator_pairs)])
+    rows = _random_state_rows(sys.shape, rng, cfg.estimator_pairs)
     n_half, n_full = (hermitian_operator_norms(sys.shape, (p @ x_norm).T)
                       for p in (p_half, p_full))
     w_half, w_full = (np.abs(np.einsum("jd,dj->j", rows, p @ x_weak))
@@ -509,13 +532,16 @@ def _power_estimators(sys: DynamicalSystem, rng: np.random.Generator,
 def _dual_power_estimator(sys: DynamicalSystem, rng: np.random.Generator,
                           cfg: Config) -> tuple[bool, dict]:
     """||psi . T^n - psi(1) phi||_1 at the power horizon, random functionals."""
-    one = AlgebraElement.identity(sys.shape)
+    one = _identity_vec(sys.shape)
     power = _dyadic_powers(_OrbitLayout(dual(sys.operator).matrix, None, None))
     i = cfg.exact_power_n.bit_length() - 1
     d_half, d_full = power(i - 1).a, power(i).a
-    psis = [random_functional(sys.shape, rng) for _ in range(cfg.estimator_pairs)]
-    v = np.column_stack([psi.vec() for psi in psis])
-    target = np.outer(sys.state.vec(), [psi(one) for psi in psis])
+    psis = _random_functional_vecs(sys.shape, rng, cfg.estimator_pairs)
+    v = np.ascontiguousarray(psis.T)
+    # psi_j(1), one dot per functional as Functional.__call__ takes it
+    rows = np.take(psis, transpose_permutation(sys.shape), axis=1)
+    units = [complex(r @ one) for r in rows]
+    target = np.outer(sys.state.vec(), units)
     vals_half = trace_norms(sys.shape, (d_half @ v - target).T)
     vals_full = trace_norms(sys.shape, (d_full @ v - target).T)
     ok = _dyadic_passes(vals_half, vals_full, cfg.exact_estimator_tol, cfg)
@@ -528,7 +554,7 @@ def _dual_power_estimator(sys: DynamicalSystem, rng: np.random.Generator,
 
 def _rank_one_matrix(sys: DynamicalSystem) -> np.ndarray:
     """Matrix of x -> phi(x) 1, the limit every exact system's powers reach."""
-    return np.outer(AlgebraElement.identity(sys.shape).vec(), sys.state.row())
+    return np.outer(_identity_vec(sys.shape), sys.state.row())
 
 
 def _ergodic_spectral(sys: DynamicalSystem, cfg: Config) -> tuple[bool, dict]:

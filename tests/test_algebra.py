@@ -215,6 +215,126 @@ def test_random_element_draws_block_by_block():
     assert a.random() == b.random()
 
 
+
+def test_shape_attributes_and_the_unit_are_memoized_read_only():
+    import dataclasses
+    from cstar_mixing.algebra import _identity_vec
+    s, fresh = AlgebraShape([2, 3, 1]), AlgebraShape([2, 3, 1])
+    assert s.offsets is s.offsets and s.dim == 14
+    one = _identity_vec(s)
+    assert _identity_vec(fresh) is one and not one.flags.writeable
+    assert AlgebraElement.identity(s).vec() is one
+    want = np.concatenate([np.eye(n).reshape(-1) for n in s.blocks])
+    assert one.tobytes() == want.astype(complex).tobytes()
+    uniform = np.concatenate([(np.eye(n) / 6).reshape(-1) for n in s.blocks])
+    assert (Functional.uniform_state(s).vec().tobytes()
+            == uniform.astype(complex).tobytes())
+    # the cached attributes are not fields: equality and hashing see blocks
+    assert [f.name for f in dataclasses.fields(s)] == ["blocks"]
+    assert s == fresh and hash(s) == hash(fresh) == hash(((2, 3, 1),))
+    assert s != AlgebraShape([1, 3, 2])
+
+
+# -- stacked draws against the block-by-block draws they replace ------------
+
+def _random_element_by_blocks(shape, rng):
+    """The block-by-block draw: real then imaginary n x n parts per block."""
+    draws = rng.standard_normal(2 * shape.dim)
+    blocks, pos = [], 0
+    for n in shape.blocks:
+        k = n * n
+        re = draws[pos:pos + k].reshape(n, n)
+        im = draws[pos + k:pos + 2 * k].reshape(n, n)
+        blocks.append((re + 1j * im) / np.sqrt(2))
+        pos += 2 * k
+    return AlgebraElement(shape, blocks)
+
+
+def _random_state_by_blocks(shape, rng):
+    """The block-by-block state: g g* + 1e-12 per block over the total trace."""
+    mats = []
+    for n in shape.blocks:
+        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        mats.append(g @ g.conj().T + 1e-12 * np.eye(n))
+    total = sum(float(np.trace(m).real) for m in mats)
+    return Functional(shape, [m / total for m in mats])
+
+
+def _hermitian_by_blocks(shape, rng, normalized):
+    h = _random_element_by_blocks(shape, rng).hermitian_parts()[0]
+    nrm = operator_norm(h)
+    return h * (1.0 / nrm) if normalized and nrm > 0 else h
+
+
+def _functional_by_blocks(shape, rng, normalized):
+    psi = Functional.from_vec(shape, _random_element_by_blocks(shape, rng).vec())
+    nrm = functional_norm(psi)
+    return psi * (1.0 / nrm) if normalized and nrm > 0 else psi
+
+
+DRAW_SHAPES = [(2,), (3,), (1, 1, 2), (1,) * 12, (4, 6, 6, 9),
+               (1, 1, 2, 1, 1, 2, 2, 2, 4)]
+
+
+def _draw_pairs(m):
+    """(stacked draw of m, the same m drawn one at a time by blocks)."""
+    from cstar_mixing import algebra
+    one = {
+        "element": (random_element, _random_element_by_blocks),
+        "hermitian": (random_hermitian_element,
+                      lambda s, r: _hermitian_by_blocks(s, r, True)),
+        "hermitian_raw": (lambda s, r: random_hermitian_element(s, r, False),
+                          lambda s, r: _hermitian_by_blocks(s, r, False)),
+        "functional": (random_functional,
+                       lambda s, r: _functional_by_blocks(s, r, True)),
+        "functional_raw": (lambda s, r: random_functional(s, r, False),
+                           lambda s, r: _functional_by_blocks(s, r, False)),
+        "state": (random_state, _random_state_by_blocks),
+    }
+    if m == 1:
+        return {k: (lambda s, r, f=f: f(s, r).vec()[None], ref)
+                for k, (f, ref) in one.items()}
+    return {
+        "hermitian_raw": (lambda s, r: algebra._random_hermitian_vecs(s, r, m),
+                          one["hermitian_raw"][1]),
+        "functional": (lambda s, r: algebra._random_functional_vecs(s, r, m),
+                       one["functional"][1]),
+        "functional_raw": (
+            lambda s, r: algebra._random_functional_vecs(s, r, m, False),
+            one["functional_raw"][1]),
+        "state": (lambda s, r: algebra._random_state_vecs(s, r, m),
+                  one["state"][1]),
+    }
+
+
+@pytest.mark.parametrize("m", [1, 5])
+@pytest.mark.parametrize("blocks", DRAW_SHAPES, ids=str)
+def test_stacked_draws_are_the_block_by_block_draws(blocks, m):
+    # bit for bit, and the generator is left in the same state
+    shape = AlgebraShape(blocks)
+    for kind, (stacked, by_blocks) in _draw_pairs(m).items():
+        for seed in (0, 1, 2):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = stacked(shape, a)
+            want = np.stack([by_blocks(shape, b).vec() for _ in range(m)])
+            assert got.shape == (m, shape.dim), kind
+            assert got.tobytes() == want.tobytes(), (kind, seed)
+            assert a.standard_normal() == b.standard_normal(), (kind, seed)
+
+
+@pytest.mark.parametrize("blocks", DRAW_SHAPES, ids=str)
+def test_block_products_are_the_per_block_products(blocks):
+    from cstar_mixing.algebra import block_products
+    shape = AlgebraShape(blocks)
+    rng = np.random.default_rng(4)
+    x = random_element(shape, rng)
+    ys = [random_element(shape, rng) for _ in range(3)]
+    got = block_products(shape, x.vec(), np.stack([y.vec() for y in ys]))
+    for row, y in zip(got, ys):
+        want = AlgebraElement(shape, [a @ b for a, b in zip(x.blocks, y.blocks)])
+        assert row.tobytes() == want.vec().tobytes()
+    assert (x @ ys[0]).vec().tobytes() == got[0].tobytes()
+
 def test_blockwise_predicates_report_the_offending_block():
     rng = np.random.default_rng(17)
     h = random_hermitian_functional(REPEATED, rng)
@@ -340,8 +460,8 @@ def test_orbit_norms_match_the_svd_of_the_orbit(shape, kraus_count, seed):
     op = random_unital_cp(shape, kraus_count, seed=seed)
     system = DynamicalSystem(op, canonical_invariant_state(op))
     rng = np.random.default_rng(seed)
-    x = _centered_columns(system, [random_hermitian_element(shape, rng)
-                                   for _ in range(3)])
+    x = _centered_columns(system, np.stack([
+        random_hermitian_element(shape, rng).vec() for _ in range(3)]))
     norms, _, _ = _orbit_norm_series(system, x, 64)
     ref = []
     for _ in range(64):

@@ -195,6 +195,16 @@ def test_example2_reports_the_witness(tmp_path, capsys):
     assert "rotation witness" in capsys.readouterr().out
 
 
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the Cesaro estimator of the tensor square's "
+    "ergodicity ends below estimator_abs on all five probe pairs at seed "
+    "44, so it calls the non-ergodic square ergodic and the run exits 3"))
+def test_example2_at_seed_44_decides_without_disagreement(tmp_path, capsys):
+    rc = run(["example", "2", "--d", "12", "--k", "5", "--seed", "44",
+              "--out", str(tmp_path)])
+    assert rc == 0
+
 def test_example3_flow(tmp_path, capsys):
     rc = run(["example", "3", "--L", "2", "--out", str(tmp_path)])
     assert rc == 0

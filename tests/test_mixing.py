@@ -21,6 +21,7 @@ from cstar_mixing import (
     check_strictly_ergodic,
     check_weakly_mixing,
     classify,
+    example1,
     example2,
     from_kraus,
     from_stochastic,
@@ -275,6 +276,72 @@ def test_classify_factors_each_operator_once(monkeypatch):
     assert counts["svd"] <= 13
 
 
+
+class _CountingGenerator:
+    """A numpy generator that counts its ``standard_normal`` calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+def test_tensor_square_probes_are_one_draw_and_one_norm(monkeypatch):
+    # example 2's tensor square has 144 blocks of side 1: its m probes are
+    # one draw of the generator scaled by one norm call, and so are its
+    # random states, whatever the number of blocks
+    square = tensor_system(example2(12, 5)[0])
+    assert square.shape.blocks == (1,) * 144
+    m = DEFAULT.estimator_pairs
+    real = mixing.hermitian_operator_norms
+    norm_calls = []
+
+    def counted(shape, stacked):
+        norm_calls.append(stacked.shape)
+        return real(shape, stacked)
+    monkeypatch.setattr(mixing, "hermitian_operator_norms", counted)
+    rng = _CountingGenerator(0)
+    xs = mixing._random_probe_elements(square, rng, DEFAULT)
+    assert rng.calls == 1
+    assert norm_calls == [(m, 144)]
+    assert xs.shape == (m, 144)
+    np.testing.assert_allclose(real(square.shape, xs), 1.0, rtol=1e-15)
+    rows = mixing._random_state_rows(square.shape, rng, m)
+    assert rng.calls == 2
+    assert rows.shape == (m, 144)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: example1(8),
+    lambda: sys_for(random_unital_cp(AlgebraShape([1, 1, 2]), 2, seed=3)),
+], ids=["example1", "shape-1-1-2"])
+def test_correlation_probes_are_the_per_probe_functionals(make):
+    # bit for bit what one Functional per probe gives: the rows phi(y_j .)
+    # from the blockwise products sigma y_j, the constants phi(y) phi(x)
+    # from per-probe calls, and the centred columns x - phi(x) 1
+    system = make()
+    shape, phi = system.shape, system.state
+    rows, consts, x0 = mixing._correlation_probes(
+        system, np.random.default_rng(3), DEFAULT)
+    rng = np.random.default_rng(3)
+    xs = mixing._random_probe_elements(system, rng, DEFAULT)
+    ys = mixing._random_probe_elements(system, rng, DEFAULT)
+    one = AlgebraElement.identity(shape).vec()
+    centred = []
+    for row, c, xv, yv in zip(rows, consts, xs, ys):
+        x = AlgebraElement.from_vec(shape, xv)
+        y = AlgebraElement.from_vec(shape, yv)
+        want = Functional(shape, [s @ b for s, b in zip(phi.blocks, y.blocks)])
+        assert row.tobytes() == want.row().tobytes()
+        assert c == phi(y) * phi(x)
+        centred.append(x.vec() - phi(x) * one)
+    assert x0.tobytes() == np.column_stack(list(xs)).tobytes()
+    got = mixing._centered_columns(system, xs)
+    assert got.tobytes() == np.column_stack(centred).tobytes()
+
 @pytest.mark.parametrize("make", [
     lambda: sys_for(random_unital_cp(AlgebraShape([4]), 3, seed=3)),
     lambda: example2(12, 5)[0],
@@ -418,8 +485,9 @@ def test_linear_estimators_match_step_by_step(kind, n):
     rng = np.random.default_rng(6)
     xs = _random_probe_elements(system, rng, cfg)
     rows = np.stack([random_state(system.shape, rng).row() for _ in xs])
-    consts = np.array([system.state(x) for x in xs])
-    x0 = np.column_stack([x.vec() for x in xs])
+    consts = np.array([system.state(AlgebraElement.from_vec(system.shape, x))
+                       for x in xs])
+    x0 = np.column_stack(list(xs))
     values, pts, _, _ = signed_reference(rows, consts, x0)
     _, wit = _state_mean_estimator(system, np.random.default_rng(6), cfg)
     assert_trace(wit["trace"], values, pts)
