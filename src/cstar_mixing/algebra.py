@@ -158,7 +158,11 @@ def _fold_block_values(shape: AlgebraShape, stacked: np.ndarray,
     vector along the last axis of ``stacked``; leading axes are kept.
     ``values`` maps a stack (..., k, n, n) of the blocks of one side n > 1
     to their values (..., k, n), so there is one batched LAPACK call per
-    block side; the value of a 1x1 block is the modulus of its entry."""
+    block side; the value of a 1x1 block is the modulus of its entry.
+    The fold runs on a C-ordered copy of a stack in any other layout, so
+    that its order, and with it the sum's rounding, never depends on the
+    layout."""
+    stacked = np.ascontiguousarray(stacked)
     lead = stacked.shape[:-1]
     out = None
     for n, idx in _side_classes(shape):
@@ -493,26 +497,151 @@ def hermitian_basis(shape: AlgebraShape) -> list[AlgebraElement]:
     return basis
 
 
-def hermitian_basis_matrix(shape: AlgebraShape) -> np.ndarray:
-    """D x D matrix whose columns are the vectorized Hermitian basis.
+@functools.cache
+def _hermitian_index(shape: AlgebraShape) -> tuple[np.ndarray, ...]:
+    """(diag, upper, lower, diag_cols, pair_cols), read-only: the vec
+    positions of every block's diagonal entries (a, a), of its entries
+    (a, b) with a < b and of their mirrors (b, a), and the columns of the
+    ``hermitian_basis`` elements they carry. The matrix unit at diag[t] is
+    column diag_cols[t]; the pair upper[t], lower[t] carries the symmetric
+    element in column pair_cols[t] and the antisymmetric one in the next.
+    Memoized per shape."""
+    parts: list[list[np.ndarray]] = [[], [], [], [], []]
+    for n, idx in _side_classes(shape):
+        # a block at vec offset p has basis columns p .. p + n*n - 1: its
+        # n matrix units, then a (symmetric, antisymmetric) pair per a < b
+        first = idx[:, :1, 0]
+        a, b = np.triu_indices(n, 1)
+        for part, value in zip(parts, (
+                idx[:, range(n), range(n)], idx[:, a, b], idx[:, b, a],
+                first + np.arange(n), first + n + 2 * np.arange(a.size))):
+            part.append(value.ravel())
+    out = tuple(np.concatenate(part) for part in parts)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
-    Written entry by entry, in the order of ``hermitian_basis``; entry
-    (a, b) of a block at vec offset pos sits at row pos + a + n*b.
-    """
+
+@functools.cache
+def hermitian_basis_matrix(shape: AlgebraShape) -> np.ndarray:
+    """D x D matrix whose columns are the vectorized Hermitian basis, in the
+    order of ``hermitian_basis``. Memoized per shape; the array is
+    read-only."""
+    diag, upper, lower, diag_cols, pair_cols = _hermitian_index(shape)
     h = np.zeros((shape.dim, shape.dim), dtype=complex)
-    col = 0
-    for n, pos in zip(shape.blocks, shape.offsets):
-        for a in range(n):
-            h[pos + a + n * a, col] = 1.0
-            col += 1
-        for a in range(n):
-            for b in range(a + 1, n):
-                ab, ba = pos + a + n * b, pos + b + n * a
-                h[ab, col] = h[ba, col] = 1.0
-                h[ab, col + 1] = 1j
-                h[ba, col + 1] = -1j
-                col += 2
+    h[diag, diag_cols] = 1.0
+    h[upper, pair_cols] = h[lower, pair_cols] = 1.0
+    h[upper, pair_cols + 1] = 1j
+    h[lower, pair_cols + 1] = -1j
+    h.setflags(write=False)
     return h
+
+
+@functools.cache
+def hermitian_basis_norms(shape: AlgebraShape) -> np.ndarray:
+    """Euclidean norms of the columns of ``hermitian_basis_matrix``: 1 for
+    a matrix unit, sqrt(2) for a pair. Memoized per shape; read-only."""
+    norms = np.linalg.norm(hermitian_basis_matrix(shape), axis=0)
+    norms.setflags(write=False)
+    return norms
+
+
+@functools.cache
+def orthonormal_hermitian_basis(shape: AlgebraShape) -> np.ndarray:
+    """``hermitian_basis_matrix`` with unit columns: a unitary H with
+    H* H = I whose columns are Hermitian. A Hermitian element x has real
+    coordinates H* vec(x), and a Hermiticity-preserving M the real matrix
+    H* M H. Memoized per shape; read-only. The functions below apply H, H*
+    and H^T by index arithmetic instead of products with it."""
+    h = hermitian_basis_matrix(shape) / hermitian_basis_norms(shape)
+    h.setflags(write=False)
+    return h
+
+
+_HALF_ROOT = 1.0 / math.sqrt(2.0)
+
+
+@functools.cache
+def _basis_gathers(shape: AlgebraShape, kind: str) -> tuple[np.ndarray, ...]:
+    """(src0, w0, src1, w1), read-only, with x[src0] w0 + x[src1] w1 equal
+    to H x (kind "vecs"), H* x ("coordinates") or H^T x ("pairing"), H the
+    ``orthonormal_hermitian_basis``: each entry of the result combines at
+    most two entries of x. Memoized per shape and kind."""
+    diag, upper, lower, diag_cols, pair_cols = _hermitian_index(shape)
+    src = np.empty((2, shape.dim), dtype=np.intp)
+    w = np.zeros((2, shape.dim), dtype=complex)
+    if kind == "vecs":
+        src[:, diag] = diag_cols
+        w[0, diag] = 1.0
+        src[0, upper] = src[0, lower] = pair_cols
+        src[1, upper] = src[1, lower] = pair_cols + 1
+        w[0, upper] = w[0, lower] = _HALF_ROOT
+        w[1, upper], w[1, lower] = 1j * _HALF_ROOT, -1j * _HALF_ROOT
+    else:
+        phase = -1j if kind == "coordinates" else 1j
+        src[:, diag_cols] = diag
+        w[0, diag_cols] = 1.0
+        src[0, pair_cols] = src[0, pair_cols + 1] = upper
+        src[1, pair_cols] = src[1, pair_cols + 1] = lower
+        w[:, pair_cols] = _HALF_ROOT
+        w[0, pair_cols + 1] = phase * _HALF_ROOT
+        w[1, pair_cols + 1] = -phase * _HALF_ROOT
+    for a in (src, w):
+        a.setflags(write=False)
+    return src[0], w[0], src[1], w[1]
+
+
+def _gathered(shape: AlgebraShape, x: np.ndarray, axis: int,
+              kind: str) -> np.ndarray:
+    """``_basis_gathers`` of ``kind`` applied along ``axis`` of x. For real
+    x and kind "vecs" the weights are real (w0) and imaginary (w1), and the
+    real and imaginary parts are written apart."""
+    src0, w0, src1, w1 = _basis_gathers(shape, kind)
+    x = np.asarray(x)
+    axis %= x.ndim
+    tail = (-1,) + (1,) * (x.ndim - axis - 1)
+    if kind == "vecs" and not np.iscomplexobj(x):
+        out = np.empty(x.shape, dtype=complex)
+        np.multiply(np.take(x, src0, axis=axis), w0.real.reshape(tail),
+                    out=out.real)
+        np.multiply(np.take(x, src1, axis=axis), w1.imag.reshape(tail),
+                    out=out.imag)
+        return out
+    out = np.take(x, src0, axis=axis).astype(complex, copy=False)
+    out *= w0.reshape(tail)
+    second = np.take(x, src1, axis=axis).astype(complex, copy=False)
+    second *= w1.reshape(tail)
+    out += second
+    return out
+
+
+def hermitian_coordinates(shape: AlgebraShape, x: np.ndarray,
+                          axis: int = 0) -> np.ndarray:
+    """H* x along ``axis``, H the ``orthonormal_hermitian_basis``: the
+    coordinates of vecs, real up to rounding for Hermitian elements."""
+    return _gathered(shape, x, axis, "coordinates")
+
+
+def pairing_coordinates(shape: AlgebraShape, f: np.ndarray,
+                        axis: int = 0) -> np.ndarray:
+    """H^T f along ``axis``: the coordinates of pairing rows, so that
+    f . vec(x) = (H^T f) . (H* vec(x)) for every element x."""
+    return _gathered(shape, f, axis, "pairing")
+
+
+def hermitian_vecs(shape: AlgebraShape, c: np.ndarray,
+                   axis: int = 0) -> np.ndarray:
+    """H c along ``axis``: the vecs of the elements with coordinates c,
+    the inverse of ``hermitian_coordinates``."""
+    return _gathered(shape, c, axis, "vecs")
+
+
+def real_form(shape: AlgebraShape, matrix: np.ndarray) -> np.ndarray:
+    """H* M H, H the ``orthonormal_hermitian_basis``: the real matrix of a
+    Hermiticity-preserving M in real coordinates (the imaginary parts,
+    rounding only, are dropped)."""
+    return np.ascontiguousarray(hermitian_coordinates(
+        shape, pairing_coordinates(shape, matrix, axis=1)).real)
 
 
 def product_pairing_matrix(psi: Functional) -> np.ndarray:

@@ -31,6 +31,7 @@ from .algebra import (
     functional_norm,
     hermitian_basis,
     jordan_decompose,
+    real_form,
     tensor_permutation,
     transpose_permutation,
 )
@@ -69,6 +70,8 @@ class MarkovOperator:
     # is frozen
     _spectral_memo: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
+    _real: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.shape != self.shape:
@@ -78,6 +81,17 @@ class MarkovOperator:
     @property
     def dim(self) -> int:
         return self.shape.dim
+
+    @property
+    def real_matrix(self) -> np.ndarray:
+        """``algebra.real_form`` of the matrix: T in real coordinates over
+        the orthonormal Hermitian basis of its shape, real because T
+        preserves Hermiticity. Computed on first read; read-only."""
+        if self._real is None:
+            r = real_form(self.shape, self.matrix)
+            r.setflags(write=False)
+            object.__setattr__(self, "_real", r)
+        return self._real
 
     def is_cp_verified(self) -> bool:
         return self.positivity_claim == "verified_cp"
@@ -333,15 +347,17 @@ def canonical_invariant_state(op: MarkovOperator, config: Config = DEFAULT) -> F
 
     Coincides with the unique invariant state when there is only one; always
     gives a deterministic, basis-independent choice when there are several.
-    Reads the Cesàro projector P of the operator's memoized spectral data
-    (raising DefectivePeripheral for a Jordan block at 1): the dual matrix is
-    K M^T K with K the transpose permutation (an involution), so the dual's
-    projector is K P^T K, and the averaged state is (P^T @ u[k])[k].
+    Reads the Cesàro projector P = X Y of the operator's memoized spectral
+    data (raising DefectivePeripheral for a Jordan block at 1): the dual
+    matrix is K M^T K with K the transpose permutation (an involution), so
+    the dual's projector is K P^T K, and the averaged state is
+    (Y^T X^T u[k])[k].
     """
     from .spectral import _spectral_data  # local import, no cycle at module load
     k = transpose_permutation(op.shape)
     u = Functional.uniform_state(op.shape).vec()
-    v = (_spectral_data(op, config).cesaro().T @ u[k])[k]
+    x, y = _spectral_data(op, config).cesaro_factors()
+    v = (y.T @ (x.T @ u[k]))[k]
     psi = Functional.from_vec(op.shape, v)
     # invariance forces psi(1) real; normalize trace to one
     total = sum(np.trace(b) for b in psi.blocks)
@@ -353,19 +369,29 @@ def canonical_invariant_state(op: MarkovOperator, config: Config = DEFAULT) -> F
 def _candidate_states(op: MarkovOperator, null: np.ndarray,
                       config: Config) -> Iterator[Functional]:
     """The canonical state, then the normalized positive Jordan parts of the
-    Hermitian parts of each fixed functional, produced on demand."""
+    fixed Hermitian functionals in ``null``, then their negative parts,
+    produced on demand. The positive parts of a basis are mostly
+    independent, while a negative part often repeats one already taken
+    (h = p - q and h' = p' - q share q), so the negative parts come last."""
     yield canonical_invariant_state(op, config)
+    negatives = []
     for idx in range(null.shape[1]):
-        psi = Functional.from_vec(op.shape, null[:, idx])
-        for h in psi.hermitian_parts():
-            nrm = functional_norm(h)
-            if nrm < 1e-12:
-                continue
-            hp, hm = jordan_decompose(h, tol=1e-8)
-            for part in (hp, hm):
-                pn = functional_norm(part)
-                if pn > 1e-10:
-                    yield part * (1.0 / pn)
+        # the columns are Hermitian up to rounding: keep the Hermitian part
+        h = Functional.from_vec(op.shape, null[:, idx]).hermitian_parts()[0]
+        if functional_norm(h) < 1e-12:
+            continue
+        hp, hm = jordan_decompose(h, tol=1e-8)
+        negatives.append(hm)
+        yield from _normalized(hp)
+    for hm in negatives:
+        yield from _normalized(hm)
+
+
+def _normalized(part: Functional) -> Iterator[Functional]:
+    """``part`` over its trace norm, unless that norm is rounding noise."""
+    pn = functional_norm(part)
+    if pn > 1e-10:
+        yield part * (1.0 / pn)
 
 
 def invariant_states(op: MarkovOperator, config: Config = DEFAULT) -> list[Functional]:
@@ -373,22 +399,23 @@ def invariant_states(op: MarkovOperator, config: Config = DEFAULT) -> list[Funct
 
     The fixed functionals at eigenvalue 1 are the null space of
     (dual - I) = K (M - I)^T K, read from the memoized SVD of M - I as
-    conj(U[:, s <= cut])[k] with the cut at ``tol_invariant_state``; their
-    Hermitian parts are again fixed, and the positive Jordan parts of fixed
-    Hermitian functionals are fixed for positive unital maps, which turns a
-    fixed-space basis into a spanning family of invariant states. Returns
+    conj(U[:, s <= cut])[k] with the cut at ``tol_invariant_state``. That
+    SVD runs on T's real form, so these columns are Hermitian functionals,
+    and the positive Jordan parts of fixed Hermitian functionals are fixed
+    for positive unital maps, which turns a fixed-space basis into a
+    spanning family of invariant states. Returns
     exactly one state iff the fixed space is one-dimensional. Singular
     values within a factor 10 of the cut raise NumericalDegeneracy.
     """
     from .spectral import _cut, _spectral_data
-    data = _spectral_data(op, config)
-    s = data.defect_s
+    defect = _spectral_data(op, config).defect
+    s = defect.s
     cut = _cut(s, config.tol_invariant_state)
     ambiguous = [x for x in s if cut / 10.0 < x < cut * 10.0]
     if ambiguous:
         raise NumericalDegeneracy(
             f"singular values {ambiguous} straddle the rank cut {cut:.1e}")
-    null = np.conj(data.defect_u[:, s <= cut])[transpose_permutation(op.shape)]
+    null = np.conj(defect.columns(s <= cut))[transpose_permutation(op.shape)]
     k = null.shape[1]
     if k == 0:
         raise NumericalDegeneracy("no fixed functional found for a unital map")

@@ -68,9 +68,9 @@ from .algebra import (
     _unit_scaled,
     block_products,
     functional_norm,
-    hermitian_basis_matrix,
+    hermitian_basis_norms,
     hermitian_operator_norms,
-    product_pairing_matrix,
+    pairing_coordinates,
     trace_norms,
     transpose_permutation,
 )
@@ -100,11 +100,13 @@ from .orbit import (
     _orbit,
     _orbit_sums,
     _OrbitLayout,
+    _pairings,
     _read_samples,
     _sample_lengths,
 )
 from .sequences import BoundedSequence, check_kvn_equivalence, dyadic_decreasing
 from .spectral import (
+    _cesaro_factors,
     _spectral_data,
     cesaro_projector_spectral,
     power_limit,
@@ -320,7 +322,7 @@ def _correlation_running(sys: DynamicalSystem, rows: np.ndarray,
     # to steps b*s .. b*s + s - 1, so the whole array reshapes to (n, m)
     pairings = np.empty((n // s, s * m), dtype=complex)
     for b, x in enumerate(strides):
-        pairings[b] = np.einsum("jab,ajb->j", rows_wide, x)
+        pairings[b] = _pairings("jab,ajb->j", rows_wide, x)
     series = pairings.reshape(n, m)
     series -= consts
     return series
@@ -349,7 +351,7 @@ def _signed_means(sys: DynamicalSystem, rows: np.ndarray, consts: np.ndarray,
     w = min(cfg.dyadic_window, n // 2)
     ks, layout, sums = _orbit_sums(sys.operator, x0, n, w)
     k = ks[:, None]
-    paired = np.einsum("iab,akib->ki", layout.rows_in(rows), sums)
+    paired = _pairings("iab,akib->ki", layout.rows_in(rows), sums)
     means = np.abs(paired - k * consts) / k
     return _read_samples(means, n, w)
 
@@ -510,16 +512,19 @@ def _power_estimators(sys: DynamicalSystem, rng: np.random.Generator,
     """(ok, trace) at the power horizon n and at n/2, from one squaring
     ladder of T, for "power_norm", ||T^n x - phi(x) 1||, then "weak_power",
     psi(T^n x) -> phi(x) for random states psi (drawn in that order)."""
-    power = _dyadic_powers(_OrbitLayout(sys.operator.matrix, None, None))
+    layout = _OrbitLayout.of(sys.operator)
+    power = _dyadic_powers(layout)
     i = cfg.exact_power_n.bit_length() - 1
-    p_half, p_full = power(i - 1).a, power(i).a
-    x_norm = _centered_columns(sys, _random_probe_elements(sys, rng, cfg))
-    x_weak = _centered_columns(sys, _random_probe_elements(sys, rng, cfg))
-    rows = _random_state_rows(sys.shape, rng, cfg.estimator_pairs)
-    n_half, n_full = (hermitian_operator_norms(sys.shape, (p @ x_norm).T)
-                      for p in (p_half, p_full))
-    w_half, w_full = (np.abs(np.einsum("jd,dj->j", rows, p @ x_weak))
-                      for p in (p_half, p_full))
+    x_norm, x_weak = (layout.columns_in(_centered_columns(
+        sys, _random_probe_elements(sys, rng, cfg))) for _ in range(2))
+    rows = layout.rows_in(_random_state_rows(sys.shape, rng,
+                                             cfg.estimator_pairs))
+    n_half, n_full = (hermitian_operator_norms(
+        sys.shape, layout.columns_out(power(k).step(x_norm)).T)
+        for k in (i - 1, i))
+    w_half, w_full = (np.abs(_pairings("jab,ajb->j", rows,
+                                       power(k).step(x_weak)))
+                      for k in (i - 1, i))
     return {
         "power_norm": (_dyadic_passes(n_half, n_full, cfg.estimator_abs, cfg),
                        {"at_half": [float(v) for v in n_half],
@@ -533,9 +538,10 @@ def _dual_power_estimator(sys: DynamicalSystem, rng: np.random.Generator,
                           cfg: Config) -> tuple[bool, dict]:
     """||psi . T^n - psi(1) phi||_1 at the power horizon, random functionals."""
     one = _identity_vec(sys.shape)
-    power = _dyadic_powers(_OrbitLayout(dual(sys.operator).matrix, None, None))
-    i = cfg.exact_power_n.bit_length() - 1
-    d_half, d_full = power(i - 1).a, power(i).a
+    d_half = dual(sys.operator).matrix
+    for _ in range(cfg.exact_power_n.bit_length() - 2):
+        d_half = d_half @ d_half
+    d_full = d_half @ d_half
     psis = _random_functional_vecs(sys.shape, rng, cfg.estimator_pairs)
     v = np.ascontiguousarray(psis.T)
     # psi_j(1), one dot per functional as Functional.__call__ takes it
@@ -558,13 +564,22 @@ def _rank_one_matrix(sys: DynamicalSystem) -> np.ndarray:
 
 
 def _ergodic_spectral(sys: DynamicalSystem, cfg: Config) -> tuple[bool, dict]:
-    proj = cesaro_projector_spectral(sys.operator, cfg)
+    """phi(h_p C(h_r)) against phi(h_p) phi(h_r) over the Hermitian basis h,
+    for the Cesàro projector C = X Y of rank k. The Gram is
+    (h^T Q X)(Y h), where row j of h^T Q X is phi(h_p x_j), the pairing of
+    h_p with the functional whose blocks are x_j sigma; the rank-one term
+    joins it as a (k+1)-th term, so one (D, k+1) by (k+1, D) product gives
+    the residual matrix."""
+    x, y = _cesaro_factors(sys.operator, cfg)
     summ = spectrum(sys.operator, cfg)
-    h = hermitian_basis_matrix(sys.shape)
-    q = product_pairing_matrix(sys.state)
-    gram = h.T @ q @ (proj @ h)
-    g = h.T @ sys.state.row()
-    resid = np.abs(gram - np.outer(g, g))
+    shape = sys.shape
+    norms = hermitian_basis_norms(shape)
+    rows = np.take(block_products(shape, x.T, sys.state.vec()),
+                   transpose_permutation(shape), axis=1)
+    g = pairing_coordinates(shape, sys.state.row())[None, :]
+    left = np.concatenate([pairing_coordinates(shape, rows, axis=1), g])
+    right = np.concatenate([pairing_coordinates(shape, y, axis=1), -g])
+    resid = np.abs((left * norms).T @ (right * norms))
     # the first pair within rounding of the largest residual: symmetric
     # systems tie many pairs (1,728 on example 2's tensor square), and
     # rounding alone should not choose among them

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import tensor_permutation
+from .algebra import (
+    AlgebraShape,
+    hermitian_coordinates,
+    hermitian_vecs,
+    pairing_coordinates,
+    tensor_permutation,
+)
 from .channel import MarkovOperator
 
 
@@ -57,24 +63,28 @@ def _read_samples(values: np.ndarray, n: int, w: int) -> tuple[dict, np.ndarray,
 class _OrbitLayout:
     """Where orbit columns live while T steps them.
 
-    Columns are held as a (da, cols, db) array X on which the step acts as
-    X -> A X B^T. For a product S (x) R made by ``tensor``, A and B are the
-    factor matrices and each X[:, j, :] is column j in Kronecker order, so
-    a step is two GEMMs on factor-sized matrices; otherwise A is T's matrix
-    and db = 1. Probe columns and pairing rows move in once, results move
-    out once.
+    Columns are Hermitian elements (T preserves Hermiticity), held by their
+    real coordinates over orthonormal Hermitian bases as a real (da, cols,
+    db) array X on which the step acts as X -> A X B^T. For a product
+    S (x) R made by ``tensor``, A and B are the real matrices of the
+    factors and X[:, j, :] holds column j over the products of the
+    factors' bases, so a step is two real GEMMs on factor-sized matrices;
+    otherwise A is T's real matrix and db = 1. Probe columns and pairing
+    rows move in once, results move out once, all by index arithmetic.
     """
 
     a: np.ndarray
     b: np.ndarray | None
-    perm: np.ndarray | None     # tensor_permutation of the factors
+    shapes: tuple[AlgebraShape, ...]   # T's shape, or the factors' shapes
+    perm: np.ndarray | None            # tensor_permutation of the factors
 
     @staticmethod
     def of(op: MarkovOperator) -> "_OrbitLayout":
         if op.factors is None:
-            return _OrbitLayout(op.matrix, None, None)
+            return _OrbitLayout(op.real_matrix, None, (op.shape,), None)
         left, right = op.factors
-        return _OrbitLayout(left.matrix, right.matrix,
+        return _OrbitLayout(left.real_matrix, right.real_matrix,
+                            (left.shape, right.shape),
                             tensor_permutation(left.shape, right.shape))
 
     def squared(self) -> "_OrbitLayout":
@@ -83,38 +93,48 @@ class _OrbitLayout:
         a = self.a @ self.a
         b = None if self.b is None else (
             a if self.b is self.a else self.b @ self.b)
-        return _OrbitLayout(a, b, self.perm)
+        return _OrbitLayout(a, b, self.shapes, self.perm)
 
     @property
     def sides(self) -> tuple[int, int]:
         return self.a.shape[0], 1 if self.b is None else self.b.shape[0]
 
-    def columns_in(self, x: np.ndarray) -> np.ndarray:
-        da, db = self.sides
-        if self.perm is None:
-            return x.reshape(da, -1, 1)
+    def _kron(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """Vecs along ``axis`` of x in Kronecker order, split into the
+        factors' axes (da, db) at ``axis``."""
         kron = np.empty_like(x)
-        kron[self.perm] = x
-        return np.ascontiguousarray(
-            kron.reshape(da, db, -1).transpose(0, 2, 1))
+        kron[(slice(None),) * axis + (self.perm,)] = x
+        return kron.reshape(x.shape[:axis] + self.sides + x.shape[axis + 1:])
+
+    def columns_in(self, x: np.ndarray) -> np.ndarray:
+        """Columns of vecs of Hermitian elements, (D, m), as the real
+        layout array (da, m, db)."""
+        if self.perm is None:
+            c = hermitian_coordinates(self.shapes[0], x).real
+            return np.ascontiguousarray(c).reshape(self.sides[0], -1, 1)
+        c = hermitian_coordinates(self.shapes[0], self._kron(x, 0), axis=0)
+        c = hermitian_coordinates(self.shapes[1], c, axis=1).real
+        return np.ascontiguousarray(c.transpose(0, 2, 1))
 
     def rows_in(self, rows: np.ndarray) -> np.ndarray:
-        """Rows r as (cols, da, db), so that r_j . x_j is the sum over a, b
-        of R[j, a, b] X[a, j, b] for the columns X moved in."""
-        da, db = self.sides
+        """Pairing rows r, (m, D), as complex (m, da, db), so that r_j . x_j
+        is the sum over a, b of R[j, a, b] X[a, j, b] for the columns X
+        moved in; pair them with ``_pairings``."""
         if self.perm is None:
-            return rows.reshape(-1, da, 1)
-        kron = np.empty_like(rows)
-        kron[:, self.perm] = rows
-        return kron.reshape(-1, da, db)
+            return pairing_coordinates(self.shapes[0], rows,
+                                       axis=1)[:, :, None]
+        r = pairing_coordinates(self.shapes[0], self._kron(rows, 1), axis=1)
+        return pairing_coordinates(self.shapes[1], r, axis=2)
 
     def columns_out(self, x: np.ndarray) -> np.ndarray:
-        """Columns X of shape (da, ..., db) as vectors along the first axis,
+        """Columns X of shape (da, ..., db) as vecs along the first axis,
         (da * db, ...), with the middle axes kept."""
         da, *cols, db = x.shape
         if self.perm is None:
-            return x.reshape(da, *cols)
-        return np.moveaxis(x, -1, 1).reshape(da * db, *cols)[self.perm]
+            return hermitian_vecs(self.shapes[0], x.reshape(da, *cols))
+        y = hermitian_vecs(self.shapes[1], hermitian_vecs(self.shapes[0], x),
+                           axis=-1)
+        return np.moveaxis(y, -1, 1).reshape(da * db, *cols)[self.perm]
 
     def step(self, x: np.ndarray) -> np.ndarray:
         da, cols, db = x.shape
@@ -122,6 +142,13 @@ class _OrbitLayout:
         if self.b is None:
             return y.reshape(da, cols, 1)
         return (y.reshape(da * cols, db) @ self.b.T).reshape(da, cols, db)
+
+
+def _pairings(spec: str, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.einsum(spec, rows, x)`` for complex rows from ``rows_in`` and a
+    real layout array x, as two real contractions: x is never cast to
+    complex."""
+    return np.einsum(spec, rows.real, x) + 1j * np.einsum(spec, rows.imag, x)
 
 
 def _dyadic_powers(layout: _OrbitLayout):
@@ -178,7 +205,7 @@ def _orbit_sums(op: MarkovOperator, x0: np.ndarray, n: int,
     pts = _checkpoints(n)
     c = len(pts)
     ks = _sample_lengths(n, w)
-    out = np.empty((da, ks.size, m, db), dtype=complex)
+    out = np.empty((da, ks.size, m, db))
     for i, p in enumerate(pts):
         out[:, i] = sums[p.bit_length() - 1]
     z = np.concatenate([np.zeros_like(x), window], axis=1)

@@ -25,11 +25,15 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .algebra import tensor_permutation
+from .algebra import (
+    hermitian_vecs,
+    orthonormal_hermitian_basis,
+    tensor_permutation,
+)
 from .channel import MarkovOperator
 from .config import DEFAULT, Config
 from .errors import DefectivePeripheral, EigensolverFailure
-from .orbit import _orbit_sums
+from .orbit import _orbit_sums, _OrbitLayout
 
 
 def _cut(s: np.ndarray, rel_tol: float) -> float:
@@ -95,42 +99,93 @@ class SpectralSummary:
 
 
 @dataclass(frozen=True, eq=False)
-class _SpectralData:
-    """All the spectral layer knows of one matrix M under one ``Config``.
+class _Defect:
+    """The SVD of M - I, taken on T's real form.
 
-    Every array is read-only. M - I = U diag(s) V* is always one SVD of M
-    itself. The rest comes from one complex Schur form of M with the
-    eigenvalue-1 cluster sorted to the front (``schur``, with the index of
-    each diagonal entry's cluster in ``labels``), or, for a product S (x) R
-    made by ``channel.tensor``, from the data of S and R (``schur`` and
-    ``labels`` are then None).
+    In the real coordinates of its ``_OrbitLayout``, M = W R W* with W
+    unitary and R real, so R - I = U diag(s) V^T gives M - I = (W U)
+    diag(s) (W V)*, with the same singular values. R - I is block-diagonal
+    in an orthogonal basis: one block for T or for a product of two
+    different factors, and for T (x) T the swap-symmetric and
+    -antisymmetric halves of kron(R, R) - I. ``parts`` holds each block's
+    real U with its ``lift`` to layout coordinates (None: the block is the
+    layout), and ``order`` the sorting of their concatenated singular
+    values into ``s``. Only the columns of U a caller asks for are mapped
+    to vecs.
+    """
+
+    s: np.ndarray                   # descending, read-only
+    layout: _OrbitLayout
+    parts: tuple[tuple[np.ndarray, object], ...]
+    order: np.ndarray
+
+    def columns(self, keep: np.ndarray) -> np.ndarray:
+        """The columns U[:, keep] of M - I's U as vecs, (D, k), for a mask
+        ``keep`` over ``s``."""
+        picked = self.order[keep]
+        da, db = self.layout.sides
+        out = np.empty((da * db, picked.size))
+        start = 0
+        for u, lift in self.parts:
+            mine = (picked >= start) & (picked < start + u.shape[1])
+            block = u[:, picked[mine] - start]
+            out[:, mine] = block if lift is None else lift(block)
+            start += u.shape[1]
+        return self.layout.columns_out(
+            out.reshape(da, db, -1).transpose(0, 2, 1))
+
+
+@dataclass(frozen=True, eq=False)
+class _SpectralData:
+    """All the spectral layer knows of one operator under one ``Config``.
+
+    Every array is read-only. ``defect`` is the SVD of M - I, taken on the
+    operator's real form (``_defect_svd``). The rest comes from one complex
+    Schur form of M with the eigenvalue-1 cluster sorted to the front
+    (``schur``, with the index of each diagonal entry's cluster in
+    ``labels``), or, for a product S (x) R made by ``channel.tensor``, from
+    the data of S and R (``schur`` and ``labels`` are then None).
     """
 
     summary: SpectralSummary
     one_count: int                  # eigenvalues counted into the 1-cluster
-    projector: np.ndarray | None    # Cesàro projector; None: Jordan block at 1
-    defect_u: np.ndarray            # U of the SVD of M - I
-    defect_s: np.ndarray            # s, descending
+    # (X, Y) with X @ Y the Cesàro projector, X of shape (D, one_count);
+    # None: Jordan block at 1
+    factors: tuple[np.ndarray, np.ndarray] | None
+    defect: _Defect
     schur: tuple[np.ndarray, np.ndarray] | None = field(default=None,
                                                         repr=False)
     labels: np.ndarray | None = field(default=None, repr=False)
-    # cluster index -> spectral projector, filled by cluster_projector
-    _cluster_projectors: dict = field(default_factory=dict, repr=False)
+    # "cesaro" -> the dense Cesàro projector, cluster index -> the factors
+    # of its spectral projector; filled on first request
+    _memo: dict = field(default_factory=dict, repr=False)
 
-    def cesaro(self) -> np.ndarray:
-        """The Cesàro projector, or DefectivePeripheral for a Jordan block at 1."""
-        if self.projector is None:
+    def cesaro_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``factors``, or DefectivePeripheral for a Jordan block at 1."""
+        if self.factors is None:
             raise DefectivePeripheral(
                 f"eigenvalue-1 cluster has geometric multiplicity "
                 f"{self.summary.fixed_space_dim} < {self.one_count}")
-        return self.projector
+        return self.factors
 
-    def cluster_projector(self, i: int) -> np.ndarray:
-        """Spectral projector onto ``summary.clusters[i]``, computed on first
-        request: LAPACK's ``ztrsen`` moves the cluster to the front of the
-        Schur form, then the ``ztrsyl`` solve of ``_projector_from_schur``."""
-        p = self._cluster_projectors.get(i)
+    def cesaro(self) -> np.ndarray:
+        """The dense Cesàro projector X @ Y, formed on first request, or
+        DefectivePeripheral for a Jordan block at 1."""
+        p = self._memo.get("cesaro")
         if p is None:
+            x, y = self.cesaro_factors()
+            p = x @ y
+            p.setflags(write=False)
+            p = self._memo.setdefault("cesaro", p)
+        return p
+
+    def cluster_factors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """(X, Y) with X @ Y the spectral projector onto
+        ``summary.clusters[i]``, computed on first request: LAPACK's
+        ``ztrsen`` moves the cluster to the front of the Schur form, then
+        ``_projector_factors``."""
+        f = self._memo.get(i)
+        if f is None:
             t, z = self.schur
             select = (self.labels == i).astype(np.int32)
             ts, zs, _, k, _, _, info = scipy.linalg.lapack.ztrsen(
@@ -138,10 +193,8 @@ class _SpectralData:
             if info < 0:
                 raise EigensolverFailure(
                     f"Schur reordering rejected argument {-info}")
-            p = _projector_from_schur(ts, zs, int(k))
-            p.setflags(write=False)
-            p = self._cluster_projectors.setdefault(i, p)
-        return p
+            f = self._memo.setdefault(i, _projector_factors(ts, zs, int(k)))
+        return f
 
 
 def _spectral_data(op: MarkovOperator, config: Config) -> _SpectralData:
@@ -154,21 +207,66 @@ def _spectral_data(op: MarkovOperator, config: Config) -> _SpectralData:
                                           for f in op.factors):
             data = _analyse_product(op, config)
         else:
-            data = _analyse(op.matrix, config)
+            data = _analyse(op, config)
         data = op._spectral_memo.setdefault(config, data)
     return data
 
 
-def _defect_svd(m: np.ndarray, config: Config
-                ) -> tuple[np.ndarray, np.ndarray, int]:
-    """U, s of the SVD of M - I (read-only) and D - rank(M - I)."""
-    try:
-        u, s, _ = np.linalg.svd(m - np.eye(m.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverFailure(f"SVD of M - I failed: {exc}") from exc
-    u.setflags(write=False)
+_HALF_ROOT = 1.0 / np.sqrt(2.0)
+
+
+def _swap_halves(r: np.ndarray) -> list[tuple[np.ndarray, object]]:
+    """kron(r, r) on its swap-symmetric and -antisymmetric subspaces, as
+    (matrix, lift) pairs; kron(r, r) commutes with the swap of its factors,
+    so it is block-diagonal in their orthonormal bases e_ii and
+    (e_ij + e_ji)/sqrt(2), i < j, and (e_ij - e_ji)/sqrt(2), i < j. The
+    blocks have sides d(d+1)/2 and d(d-1)/2, their entries are
+    r_ik r_jl +- r_il r_jk (rescaled where i = j or k = l), and ``lift``
+    maps a block's coordinate columns to Kronecker-order ones."""
+    d = r.shape[0]
+    halves = []
+    for sign, diagonal in ((1.0, 0), (-1.0, 1)):
+        i, j = np.triu_indices(d, diagonal)
+        w = np.where(i == j, _HALF_ROOT, 1.0)
+        block = (r[i][:, i] * r[j][:, j] + sign * r[i][:, j] * r[j][:, i]) \
+            * np.outer(w, w)
+        v = np.where(i == j, 1.0, _HALF_ROOT)[:, None]
+
+        def lift(u, i=i, j=j, v=v, sign=sign):
+            c = np.zeros((d, d, u.shape[1]))
+            c[i, j] = v * u
+            c[j, i] = sign * v * u
+            return c.reshape(d * d, -1)
+        halves.append((block, lift))
+    return halves
+
+
+def _defect_svd(op: MarkovOperator, config: Config) -> tuple[_Defect, int]:
+    """The ``_Defect`` of op and D - rank(M - I): real SVDs of the blocks of
+    R - I, R the real matrix of the operator's ``_OrbitLayout``: R itself,
+    kron of two different factors', or the two swap halves of T (x) T's."""
+    layout = _OrbitLayout.of(op)
+    if layout.b is None:
+        blocks = [(layout.a, None)]
+    elif layout.b is layout.a:
+        blocks = _swap_halves(layout.a)
+    else:
+        blocks = [(np.kron(layout.a, layout.b), None)]
+    parts, values = [], []
+    for r, lift in blocks:
+        try:
+            u, s, _ = np.linalg.svd(r - np.eye(r.shape[0]))
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverFailure(f"SVD of M - I failed: {exc}") from exc
+        u.setflags(write=False)
+        parts.append((u, lift))
+        values.append(s)
+    s = np.concatenate(values)
+    order = np.argsort(-s, kind="stable")
+    s = s[order]
     s.setflags(write=False)
-    return u, s, m.shape[0] - int(np.sum(s > _cut(s, config.tol_rank)))
+    fixed = op.dim - int(np.sum(s > _cut(s, config.tol_rank)))
+    return _Defect(s, layout, tuple(parts), order), fixed
 
 
 def _summary(eigs: np.ndarray, clusters: list, fixed: int, defective: bool,
@@ -184,7 +282,8 @@ def _summary(eigs: np.ndarray, clusters: list, fixed: int, defective: bool,
     )
 
 
-def _analyse(m: np.ndarray, config: Config) -> _SpectralData:
+def _analyse(op: MarkovOperator, config: Config) -> _SpectralData:
+    m = op.matrix
     D = m.shape[0]
     tol = config.tol_cluster
     try:
@@ -192,25 +291,24 @@ def _analyse(m: np.ndarray, config: Config) -> _SpectralData:
             m, output="complex", sort=lambda lam: abs(lam - 1.0) <= tol)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise EigensolverFailure(f"Schur form failed: {exc}") from exc
-    u, s, fixed = _defect_svd(m, config)
+    defect, fixed = _defect_svd(op, config)
     eigs = np.diag(t).copy()
     k = int(sdim)
     labels, clusters = _cluster_labels(eigs, tol)
     # the 1-cluster is defective iff its geometric multiplicity, read from
     # the SVD of M - I, falls short of its Schur count; every other
     # peripheral cluster of multiplicity > 1 needs a rank of its own
-    projector = None if fixed < k else _projector_from_schur(t, z, k)
+    factors = None if fixed < k else _projector_factors(t, z, k)
     eye = np.eye(D)
-    defective = projector is None or any(
+    defective = factors is None or any(
         D - _rank(m - center * eye, config.tol_rank) < mult
         for center, mult in clusters
         if mult > 1 and abs(center) >= 1.0 - config.tol_peripheral
         and abs(center - 1.0) > tol)
-    for a in (projector, t, z, labels):
-        if a is not None:
-            a.setflags(write=False)
+    for a in (t, z, labels):
+        a.setflags(write=False)
     summary = _summary(eigs, clusters, fixed, defective, config)
-    return _SpectralData(summary, k, projector, u, s, (t, z), labels)
+    return _SpectralData(summary, k, factors, defect, (t, z), labels)
 
 
 def _analyse_product(op: MarkovOperator, config: Config) -> _SpectralData:
@@ -219,13 +317,15 @@ def _analyse_product(op: MarkovOperator, config: Config) -> _SpectralData:
     The eigenvalues are the products ab; S and R are power-bounded, so their
     peripheral clusters carry no Jordan blocks, and the Cesàro projector is
     the sum of P_a (x) P_b over the factor clusters with |ab - 1| <=
-    tol_cluster, conjugated by ``tensor_permutation``. The product is
+    tol_cluster, conjugated by ``tensor_permutation``. With P_a = X_a Y_a,
+    its factors are the kron(X_a, X_b) side by side and the kron(Y_a, Y_b)
+    stacked, so no D^2 x D^2 projector is formed. The product is
     defective when a factor is, or when the SVD of its own M - I leaves
     fewer fixed directions than that sum counts.
     """
     left, right = op.factors
     a, b = _spectral_data(left, config), _spectral_data(right, config)
-    u, s, fixed = _defect_svd(op.matrix, config)
+    defect, fixed = _defect_svd(op, config)
     eigs = np.multiply.outer(np.array(a.summary.eigenvalues),
                              np.array(b.summary.eigenvalues)).ravel()
     clusters = _cluster_labels(eigs, config.tol_cluster)[1]
@@ -236,38 +336,44 @@ def _analyse_product(op: MarkovOperator, config: Config) -> _SpectralData:
     k = int(sum(ma[i] * mb[j] for i, j in pairs))
     defective = (a.summary.defective_peripheral
                  or b.summary.defective_peripheral or fixed < k)
-    projector = None
+    factors = None
     if not defective:
-        kron = np.zeros(op.matrix.shape, dtype=complex)
-        for i, j in pairs:
-            kron += np.kron(a.cluster_projector(i), b.cluster_projector(j))
+        parts = [(np.kron(xa, xb), np.kron(ya, yb)) for (xa, ya), (xb, yb)
+                 in ((a.cluster_factors(i), b.cluster_factors(j))
+                     for i, j in pairs)]
         perm = tensor_permutation(left.shape, right.shape)
-        projector = np.ascontiguousarray(kron[np.ix_(perm, perm)])
-        projector.setflags(write=False)
+        x = np.concatenate([x for x, _ in parts], axis=1)[perm]
+        y = np.ascontiguousarray(
+            np.concatenate([y for _, y in parts], axis=0)[:, perm])
+        x.setflags(write=False)
+        y.setflags(write=False)
+        factors = (x, y)
     summary = _summary(eigs, clusters, fixed, defective, config)
-    return _SpectralData(summary, k, projector, u, s)
+    return _SpectralData(summary, k, factors, defect)
 
 
-def _projector_from_schur(t: np.ndarray, z: np.ndarray, k: int) -> np.ndarray:
-    """Spectral projector onto the first k Schur eigenvalues along the rest.
+def _projector_factors(t: np.ndarray, z: np.ndarray,
+                       k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y), read-only, with X @ Y the spectral projector onto the first
+    k Schur eigenvalues along the rest: Z [[I, R], [0, 0]] Z* with
+    X = Z[:, :k] and Y = Z[:, :k]* + R Z[:, k:]*.
 
     u11 and u22 are already upper triangular: solve u11 R - R u22 = u12 with
     LAPACK's triangular Sylvester solver, no further Schur step.
     """
-    D = t.shape[0]
-    if k == 0:
-        return np.zeros((D, D), dtype=complex)
-    if k == D:
-        return np.eye(D, dtype=complex)
-    r, scale, info = scipy.linalg.lapack.ztrsyl(
-        t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
-    if info < 0:
-        raise EigensolverFailure(
-            f"triangular Sylvester solve rejected argument {-info}")
-    w = np.zeros((D, D), dtype=complex)
-    w[:k, :k] = np.eye(k)
-    w[:k, k:] = r / scale
-    return z @ w @ z.conj().T
+    x = z[:, :k]
+    y = x.conj().T
+    if 0 < k < t.shape[0]:
+        r, scale, info = scipy.linalg.lapack.ztrsyl(
+            t[:k, :k], t[k:, k:], t[:k, k:], isgn=-1)
+        if info < 0:
+            raise EigensolverFailure(
+                f"triangular Sylvester solve rejected argument {-info}")
+        y = y + (r / scale) @ z[:, k:].conj().T
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return x, y
 
 
 def spectrum(op: MarkovOperator, config: Config = DEFAULT) -> SpectralSummary:
@@ -293,12 +399,24 @@ def cesaro_projector_spectral(op: MarkovOperator,
     shared between calls and read-only. Raises DefectivePeripheral when a
     peripheral cluster is defective.
     """
+    return _checked_data(op, config).cesaro()
+
+
+def _cesaro_factors(op: MarkovOperator,
+                    config: Config) -> tuple[np.ndarray, np.ndarray]:
+    """(X, Y) with X @ Y = ``cesaro_projector_spectral(op, config)``, with
+    the same DefectivePeripheral check, and read-only; X has one column
+    per eigenvalue in the 1-cluster."""
+    return _checked_data(op, config).cesaro_factors()
+
+
+def _checked_data(op: MarkovOperator, config: Config) -> _SpectralData:
     data = _spectral_data(op, config)
     if data.summary.defective_peripheral:
         raise DefectivePeripheral(
             "peripheral cluster with nontrivial Jordan structure; "
             "input is not a power-bounded Markov operator")
-    return data.projector
+    return data
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,17 +443,22 @@ def cesaro_projector_iterative(op: MarkovOperator, n: int, tol: float,
     The sums S_k of T^j over j < k come from ``orbit._orbit_sums``, the
     doubling the linear estimators use (S_2m = S_m + T^m S_m,
     T^2m = (T^m)^2, a general n by its binary expansion), at k = n//2 and
-    n. Non-convergence is reported, never raised.
+    n, in real arithmetic on the orbits of the orthonormal Hermitian
+    basis. Non-convergence is reported, never raised.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    eye = np.eye(op.dim, dtype=complex)
     if n == 1:
+        eye = np.eye(op.dim, dtype=complex)
         return CesaroIterate(matrix=eye.copy(), converged=False,
                              residual=float("inf"), raw_mean=eye.copy())
     h = n // 2
-    _, layout, sums = _orbit_sums(op, eye, n, 1)
-    s_half, s_full = layout.columns_out(sums[:, -2:]).transpose(1, 0, 2)
+    # the orbits of the orthonormal Hermitian basis H give S_k H, and
+    # S_k = (S_k H) H* = (H (S_k H)*)*
+    _, layout, sums = _orbit_sums(op, orthonormal_hermitian_basis(op.shape),
+                                  n, 1)
+    s_half, s_full = (hermitian_vecs(op.shape, x.conj().T).conj().T for x in
+                      layout.columns_out(sums[:, -2:]).transpose(1, 0, 2))
     m_half, m_full = s_half / h, s_full / n
     residual = float(np.linalg.norm(m_full - m_half, 2))
     # extrapolate the O(1/n) running-mean tail: exact for the projector part
@@ -379,6 +502,6 @@ def range_of_defect(op: MarkovOperator, config: Config = DEFAULT) -> np.ndarray:
     cut at ``tol_rank``. Its width is D minus the fixed-space dimension;
     strict ergodicity shows up as width exactly D - 1.
     """
-    data = _spectral_data(op, config)
-    s = data.defect_s
-    return data.defect_u[:, s > _cut(s, config.tol_rank)]
+    s = _spectral_data(op, config).defect.s
+    return _spectral_data(op, config).defect.columns(
+        s > _cut(s, config.tol_rank))

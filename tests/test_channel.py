@@ -10,6 +10,7 @@ from cstar_mixing.algebra import (
     random_functional,
 )
 from cstar_mixing.channel import (
+    MarkovOperator,
     canonical_invariant_state,
     check_cp,
     check_positive_sampled,
@@ -254,10 +255,11 @@ def test_kraus_shape_mismatch():
 @pytest.mark.parametrize("kraus_count", [1, 2, 3, 4])
 def test_canonical_state_from_transposed_projector(blocks, kraus_count):
     # the dual's Cesàro projector is K P^T K; the state built from it must
-    # match the one from a direct Schur solve on the dual matrix
+    # match the one from a direct Schur solve on the dual matrix (wrapped
+    # unvalidated: the dual of a unital map need not be unital)
     shape = AlgebraShape(blocks)
     op = random_unital_cp(shape, kraus_count, seed=40 + kraus_count)
-    proj = _analyse(dual(op).matrix, DEFAULT).cesaro()
+    proj = _analyse(MarkovOperator(shape, dual(op).matrix), DEFAULT).cesaro()
     v = proj @ Functional.uniform_state(shape).vec()
     ref = Functional.from_vec(shape, v)
     ref = ref * (1.0 / sum(np.trace(b) for b in ref.blocks))

@@ -33,6 +33,7 @@ from cstar_mixing import (
     verify_theorem,
 )
 from cstar_mixing import mixing, orbit
+from cstar_mixing.algebra import _random_hermitian_vecs
 from cstar_mixing.config import DEFAULT
 from cstar_mixing.mixing import _corner_unital_cp
 
@@ -403,7 +404,8 @@ def test_correlation_running_matches_step_by_step():
     rng = np.random.default_rng(2)
     rows = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
     consts = rng.standard_normal(3) + 0j
-    x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    # orbit columns are Hermitian elements, as the estimators' probes are
+    x = _random_hermitian_vecs(system.shape, rng, 3).T
     series = _correlation_running(system, rows, consts, x, 64)
     for k in range(64):
         a = np.einsum("jd,dj->j", rows, x) - consts
@@ -433,7 +435,7 @@ def _stepped_sums(matrix, x0, n):
 def test_orbit_sums_match_step_by_step(kind, n, w):
     from cstar_mixing.orbit import _orbit_sums, _sample_lengths
     system = LINEAR_SYSTEMS[kind]()
-    x0 = np.random.default_rng(1).standard_normal((system.shape.dim, 3)) + 0j
+    x0 = _random_hermitian_vecs(system.shape, np.random.default_rng(1), 3).T
     ks, layout, sums = _orbit_sums(system.operator, x0, n, w)
     assert np.array_equal(ks, _sample_lengths(n, w))
     sums = layout.columns_out(sums)
@@ -526,7 +528,7 @@ def test_linear_estimators_take_logarithmically_many_steps(monkeypatch, kind,
 def test_orbit_blocks_follow_the_stride(n):
     from cstar_mixing.orbit import _orbit
     system = LINEAR_SYSTEMS["tensor_square"]()
-    x0 = np.random.default_rng(2).standard_normal((system.shape.dim, 2)) + 0j
+    x0 = _random_hermitian_vecs(system.shape, np.random.default_rng(2), 2).T
     s, layout, strides = _orbit(system.operator, x0, n)
     assert s == min(64, n & -n)
     x, count = x0, 0

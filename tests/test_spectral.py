@@ -351,5 +351,5 @@ def _cesaro_reference(m, tol=DEFAULT.tol_cluster):
                                           ([1, 2], 4), ([2, 2], 2)])
 def test_triangular_sylvester_matches_general_solver(blocks, kraus):
     op = random_unital_cp(AlgebraShape(blocks), kraus, seed=len(blocks) + kraus)
-    got = _analyse(op.matrix, DEFAULT).cesaro()
+    got = _analyse(op, DEFAULT).cesaro()
     assert np.max(np.abs(got - _cesaro_reference(op.matrix))) <= 1e-10

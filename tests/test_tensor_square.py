@@ -26,6 +26,7 @@ from cstar_mixing import (
     spectrum,
     tensor,
 )
+from cstar_mixing.algebra import _random_hermitian_vecs
 from cstar_mixing.config import DEFAULT
 from cstar_mixing.orbit import _orbit
 from cstar_mixing.spectral import _spectral_data
@@ -103,8 +104,9 @@ def test_factored_spectrum_matches_explicit(op):
 @pytest.mark.parametrize("op", CHANNELS[:4] + CHANNELS[-2:])
 def test_cluster_projectors_resolve_the_identity(op):
     data = _spectral_data(op, DEFAULT)
-    projectors = [data.cluster_projector(i)
-                  for i in range(len(data.summary.clusters))]
+    factors = [data.cluster_factors(i)
+               for i in range(len(data.summary.clusters))]
+    projectors = [x @ y for x, y in factors]
     scale = max(1.0, max(np.abs(p).max() for p in projectors))
     assert np.max(np.abs(sum(projectors) - np.eye(op.dim))) <= 1e-10 * scale
     for i, p in enumerate(projectors):
@@ -112,15 +114,13 @@ def test_cluster_projectors_resolve_the_identity(op):
         for j, q in enumerate(projectors):
             want = p if i == j else 0.0
             assert np.max(np.abs(p @ q - want)) <= 1e-9 * scale ** 2
-    assert data.cluster_projector(0) is projectors[0]
+    assert data.cluster_factors(0) is factors[0]
 
 
 @pytest.mark.parametrize("op", CHANNELS)
 def test_factored_orbit_steps_match_the_matrix(op):
     square = tensor(op, op)
-    rng = np.random.default_rng(3)
-    x0 = rng.standard_normal((square.dim, 5)) \
-        + 1j * rng.standard_normal((square.dim, 5))
+    x0 = _random_hermitian_vecs(square.shape, np.random.default_rng(3), 5).T
     s, layout, strides = _orbit(square, x0, 16)
     x = x0
     for block in strides:
@@ -136,7 +136,7 @@ def test_factored_orbit_of_two_different_factors():
     left = random_unital_cp(AlgebraShape([2]), 2, seed=1)
     right = random_unital_cp(AlgebraShape([1, 2]), 3, seed=2)
     product = tensor(left, right)
-    x0 = np.random.default_rng(4).standard_normal((product.dim, 3)) + 0j
+    x0 = _random_hermitian_vecs(product.shape, np.random.default_rng(4), 3).T
     s, layout, strides = _orbit(product, x0, 8)
     block = layout.columns_out(next(strides))
     for t in range(s):
@@ -185,8 +185,9 @@ def test_factored_classify_matches_explicit(op, monkeypatch):
     pytest.param(example2(12, 5)[0], id="example2")])
 def test_classify_runs_one_svd_and_no_eigensolve_on_the_tensor_square(
         system, monkeypatch):
-    # the tensor square's spectral data comes from T's: no Schur form or
-    # eigensolve of a D^2 x D^2 matrix, and only the SVD of its M - I
+    # the tensor square's spectral data comes from T's: no Schur form,
+    # eigensolve or SVD of a D^2 x D^2 matrix; the SVD of M - I runs once on
+    # each swap half of T's real form, of sides D(D+1)/2 and D(D-1)/2
     shapes = {"schur": [], "eig": [], "svd": []}
 
     def recording(module, name):
@@ -201,7 +202,10 @@ def test_classify_runs_one_svd_and_no_eigensolve_on_the_tensor_square(
     recording(np.linalg, "eig")
     recording(np.linalg, "svd")
     classify(system)
-    big = (system.shape.dim ** 2,) * 2
-    sized = {name: sum(1 for s in seen if s[-2:] == big)
+    d = system.shape.dim
+    sized = {name: sum(1 for s in seen if s[-2:] == (d * d,) * 2)
              for name, seen in shapes.items()}
-    assert sized == {"schur": 0, "eig": 0, "svd": 1}
+    assert sized == {"schur": 0, "eig": 0, "svd": 0}
+    halves = [s for s in shapes["svd"]
+              if s[-2:] in {(d * (d + 1) // 2,) * 2, (d * (d - 1) // 2,) * 2}]
+    assert sorted(halves) == [(d * (d - 1) // 2,) * 2, (d * (d + 1) // 2,) * 2]
