@@ -503,3 +503,70 @@ def test_index_permutations_are_memoized_read_only():
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0] = 0
+
+
+# -- the Hermitian basis and real coordinates --------------------------------
+
+BASIS_SHAPES = [(2,), (3,), (1, 1, 2), (2, 3), (1,) * 12, (1, 2, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("blocks", BASIS_SHAPES, ids=str)
+def test_hermitian_bases_are_memoized_read_only_and_orthonormal(blocks):
+    from cstar_mixing.algebra import (hermitian_basis_norms,
+                                      orthonormal_hermitian_basis)
+    shape = AlgebraShape(blocks)
+    for make in (hermitian_basis_matrix, hermitian_basis_norms,
+                 orthonormal_hermitian_basis):
+        first = make(shape)
+        assert make(AlgebraShape(blocks)) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0
+    basis = orthonormal_hermitian_basis(shape)
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(shape.dim))) <= 1e-15
+    assert np.array_equal(basis * hermitian_basis_norms(shape),
+                          hermitian_basis_matrix(shape))
+
+
+@pytest.mark.parametrize("blocks", BASIS_SHAPES, ids=str)
+def test_coordinate_maps_are_products_with_the_orthonormal_basis(blocks):
+    from cstar_mixing.algebra import (hermitian_coordinates, hermitian_vecs,
+                                      orthonormal_hermitian_basis,
+                                      pairing_coordinates, real_form)
+    from cstar_mixing.channel import random_unital_cp
+    shape = AlgebraShape(blocks)
+    basis = orthonormal_hermitian_basis(shape)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((3, shape.dim, 4)) \
+        + 1j * rng.standard_normal((3, shape.dim, 4))
+    c = rng.standard_normal((3, shape.dim, 4))
+    for got, want in (
+            (hermitian_coordinates(shape, x, axis=1),
+             np.einsum("iq,piw->pqw", basis.conj(), x)),
+            (pairing_coordinates(shape, x, axis=1),
+             np.einsum("iq,piw->pqw", basis, x)),
+            (hermitian_vecs(shape, c, axis=1),
+             np.einsum("iq,pqw->piw", basis, c)),
+            (hermitian_vecs(shape, x, axis=-2),
+             np.einsum("iq,pqw->piw", basis, x))):
+        assert np.max(np.abs(got - want)) <= 1e-14
+    m = random_unital_cp(shape, 3, seed=2).matrix
+    r = real_form(shape, m)
+    assert r.dtype == float
+    assert np.max(np.abs(r - basis.conj().T @ m @ basis)) <= 1e-14
+
+
+@pytest.mark.parametrize("blocks", [(1,) * 12, (2, 3), (1, 1, 2)], ids=str)
+def test_norm_folds_do_not_depend_on_the_memory_layout(blocks):
+    # a column-major stack folds as its C-ordered copy does, bit for bit
+    shape = AlgebraShape(blocks)
+    rng = np.random.default_rng(11)
+    psis = np.stack([random_functional(shape, rng).vec() for _ in range(5)])
+    hs = np.stack([random_hermitian_element(shape, rng).vec()
+                   for _ in range(5)])
+    for fold, stack in ((trace_norms, psis), (hermitian_operator_norms, hs)):
+        fortran = np.asfortranarray(stack)
+        assert not fortran.flags.c_contiguous
+        want = fold(shape, np.ascontiguousarray(stack))
+        assert fold(shape, fortran).tobytes() == want.tobytes()
+        assert fold(shape, stack.T.copy().T).tobytes() == want.tobytes()

@@ -26,7 +26,11 @@ from cstar_mixing import (
     spectrum,
     tensor,
 )
-from cstar_mixing.algebra import _random_hermitian_vecs
+from cstar_mixing.algebra import (
+    _random_hermitian_vecs,
+    hermitian_coordinates,
+    pairing_coordinates,
+)
 from cstar_mixing.config import DEFAULT
 from cstar_mixing.orbit import _orbit
 from cstar_mixing.spectral import _spectral_data
@@ -146,6 +150,49 @@ def test_factored_orbit_of_two_different_factors():
     paired = np.einsum("jab,ajb->j", layout.rows_in(rows),
                        layout.columns_in(x0))
     assert np.max(np.abs(paired - np.einsum("jd,dj->j", rows, x0))) <= 1e-12
+
+
+def _products():
+    for param in CHANNELS:
+        op = param.values[0]
+        yield pytest.param(tensor(op, op), id=param.id)
+    left = random_unital_cp(AlgebraShape([2]), 2, seed=1)
+    right = random_unital_cp(AlgebraShape([1, 2]), 3, seed=2)
+    yield pytest.param(tensor(left, right), id="two-factors")
+
+
+def _projector(columns):
+    q, _ = np.linalg.qr(columns)
+    return q @ q.conj().T
+
+
+@pytest.mark.parametrize("product", list(_products()))
+def test_real_form_matches_the_complex_matrix(product):
+    # T is real over the orthonormal Hermitian basis H of its shape
+    for op in (*product.factors, product):
+        form = hermitian_coordinates(op.shape, pairing_coordinates(
+            op.shape, op.matrix, axis=1))
+        assert np.max(np.abs(form.imag)) <= 1e-12
+    # the SVD of M - I, taken on the real form (two swap halves for a
+    # square), against the dense complex SVD
+    eye = np.eye(product.dim)
+    u, s, _ = np.linalg.svd(product.matrix - eye)
+    defect = _spectral_data(product, DEFAULT).defect
+    assert np.max(np.abs(defect.s - s)) <= 1e-12 * max(s[0], 1.0)
+    cut = DEFAULT.tol_rank * max(s[0], 1.0)
+    for keep in (s > cut, s <= cut):
+        if keep.any():
+            assert np.max(np.abs(_projector(defect.columns(keep))
+                                 - _projector(u[:, keep]))) <= 1e-10
+    # 16 real orbit steps of Hermitian columns against the matrix
+    x = x0 = _random_hermitian_vecs(product.shape,
+                                    np.random.default_rng(6), 3).T
+    steps, layout, strides = _orbit(product, x0, 16)
+    for block in strides:
+        got = layout.columns_out(block)
+        for t in range(steps):
+            assert np.max(np.abs(got[:, 3 * t:3 * t + 3] - x)) <= 1e-12
+            x = product.matrix @ x
 
 
 def _assert_witnesses_close(got, want, path="witnesses"):
