@@ -425,21 +425,24 @@ def invariant_states(op: MarkovOperator, config: Config = DEFAULT) -> list[Funct
     # independent set spanning the fixed Hermitian functionals; candidates
     # past the k-th state are never built
     states: list[Functional] = []
-    vecs: list[np.ndarray] = []
+    # rows: an orthonormal basis of the span of the states kept
+    ortho = np.empty((0, op.dim), dtype=complex)
     for psi in _candidate_states(op, null, config):
         if not psi.is_state(tol=1e-8):
             continue
         if functional_norm(Functional.from_vec(op.shape, dm @ psi.vec()) - psi) \
                 > config.tol_invariant_state * 10:
             continue
-        v = psi.vec()
-        if vecs:
-            basis = np.column_stack(vecs)
-            resid = v - basis @ np.linalg.lstsq(basis, v, rcond=None)[0]
-            if np.linalg.norm(resid) < 1e-9:
-                continue
+        # the distance of psi from that span, by Gram-Schmidt taken twice
+        # (once more absorbs the rounding of the first pass)
+        resid = psi.vec()
+        for _ in range(2):
+            resid = resid - ortho.T @ (ortho.conj() @ resid)
+        distance = np.linalg.norm(resid)
+        if distance < 1e-9:
+            continue
         states.append(psi)
-        vecs.append(v)
+        ortho = np.vstack([ortho, resid / distance])
         if len(states) == k:
             break
     if not states:
@@ -475,10 +478,10 @@ def tensor(op: MarkovOperator, other: MarkovOperator) -> MarkovOperator:
     """Tensor-product channel on the tensor algebra; requires verified CP.
 
     The result keeps ``op`` and ``other`` as its ``factors``: ``orbit``
-    steps its orbits as X -> A X B^T on the factor matrices, and
+    steps its orbits as X -> A X B^T on the factors' real matrices, and
     unless a factor is itself such a product, its spectral data is built
-    from theirs (only the SVD of M - I runs on the product's matrix). The
-    dense matrix is still formed.
+    from theirs (the SVD of M - I runs on the kron of their real forms).
+    The dense matrix is still formed.
     """
     if not (op.is_cp_verified() and other.is_cp_verified()):
         raise RequiresCP("tensor products are formed for verified CP operators only")

@@ -16,7 +16,8 @@ one (m, D) array of vecs, drawn in one call of the generator through
 ``algebra``'s per-shape index map, with the numbers m separate draws would
 give; phi(x_j) is taken by one dot per probe, as ``Functional.__call__``
 takes it, because a batched matrix-vector product rounds differently.
-Every T^k step comes from ``orbit``: orbit sums by dyadic doubling for the
+Every T^k step comes from ``orbit``, in real arithmetic on the real
+coordinates of the Hermitian probes: orbit sums by dyadic doubling for the
 linear estimators, strided walks for those that read every step, and the
 squaring ladder for the power estimators. The mean of norms rests on the
 contraction of the operator norm by a unital positive map: along an orbit
@@ -538,6 +539,8 @@ def _dual_power_estimator(sys: DynamicalSystem, rng: np.random.Generator,
                           cfg: Config) -> tuple[bool, dict]:
     """||psi . T^n - psi(1) phi||_1 at the power horizon, random functionals."""
     one = _identity_vec(sys.shape)
+    # the random functionals are not Hermitian: the dual's powers stay
+    # complex, squared in place of the real ladder
     d_half = dual(sys.operator).matrix
     for _ in range(cfg.exact_power_n.bit_length() - 2):
         d_half = d_half @ d_half

@@ -1,11 +1,15 @@
 """Orbits of a Markov operator: every T^k step of the estimators.
 
-Orbit columns live in an ``_OrbitLayout``, which applies T to a block of
-columns as one dense GEMM, or, for a product S (x) R made by
-``channel.tensor``, as two GEMMs on the factor matrices, so no step of a
-tensor square touches a D^2 x D^2 matrix. ``_dyadic_powers`` is the ladder
-of layouts stepping by T^(2^i), each squared once from the last; the power
-estimators read T^(n/2) and T^n off two of its rungs.
+The estimators' probes are Hermitian and T preserves Hermiticity, so orbit
+columns are held by their real coordinates over orthonormal Hermitian
+bases, in an ``_OrbitLayout``, and every step is real arithmetic. The
+layout applies T's real matrix to a block of columns as one real GEMM, or,
+for a product S (x) R made by ``channel.tensor``, the factors' real
+matrices as two real GEMMs on factor-sized matrices, so no step of a tensor
+square touches a D^2 x D^2 matrix. Columns and pairing rows move into the
+coordinates once and results move back out once. ``_dyadic_powers`` is the ladder of layouts stepping by T^(2^i), each
+squared once from the last; the power estimators read T^(n/2) and T^n off
+two of its rungs.
 
 The linear estimators (the signed Cesàro means and the norm of the Cesàro
 mean) and ``spectral.cesaro_projector_iterative`` read only the orbit sums
@@ -25,13 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgebraShape,
-    hermitian_coordinates,
-    hermitian_vecs,
-    pairing_coordinates,
-    tensor_permutation,
-)
+from .algebra import orthonormal_hermitian_basis, tensor_permutation
 from .channel import MarkovOperator
 
 
@@ -69,22 +67,31 @@ class _OrbitLayout:
     S (x) R made by ``tensor``, A and B are the real matrices of the
     factors and X[:, j, :] holds column j over the products of the
     factors' bases, so a step is two real GEMMs on factor-sized matrices;
-    otherwise A is T's real matrix and db = 1. Probe columns and pairing
-    rows move in once, results move out once, all by index arithmetic.
+    otherwise A is T's real matrix and db = 1.
+
+    Probe columns and pairing rows move in once, results move out once, by
+    products with the orthonormal Hermitian bases H_a, H_b of T's shape or
+    of the factors' shapes: coordinates H_a* Y conj(H_b), vecs H_a X H_b^T.
+    These bases are as large as A and B; on the blocks of orbit means that
+    move out of a tensor square (about 8e4 entries) one such product takes
+    a quarter of the time of ``algebra``'s index maps, whose complex
+    arithmetic makes several passes over the block.
     """
 
     a: np.ndarray
     b: np.ndarray | None
-    shapes: tuple[AlgebraShape, ...]   # T's shape, or the factors' shapes
-    perm: np.ndarray | None            # tensor_permutation of the factors
+    bases: tuple[np.ndarray, ...]   # H_a, or H_a and H_b for a product
+    perm: np.ndarray | None         # tensor_permutation of the factors
 
     @staticmethod
     def of(op: MarkovOperator) -> "_OrbitLayout":
         if op.factors is None:
-            return _OrbitLayout(op.real_matrix, None, (op.shape,), None)
+            return _OrbitLayout(op.real_matrix, None,
+                                (orthonormal_hermitian_basis(op.shape),), None)
         left, right = op.factors
         return _OrbitLayout(left.real_matrix, right.real_matrix,
-                            (left.shape, right.shape),
+                            (orthonormal_hermitian_basis(left.shape),
+                             orthonormal_hermitian_basis(right.shape)),
                             tensor_permutation(left.shape, right.shape))
 
     def squared(self) -> "_OrbitLayout":
@@ -93,55 +100,69 @@ class _OrbitLayout:
         a = self.a @ self.a
         b = None if self.b is None else (
             a if self.b is self.a else self.b @ self.b)
-        return _OrbitLayout(a, b, self.shapes, self.perm)
+        return _OrbitLayout(a, b, self.bases, self.perm)
 
     @property
     def sides(self) -> tuple[int, int]:
         return self.a.shape[0], 1 if self.b is None else self.b.shape[0]
 
-    def _kron(self, x: np.ndarray, axis: int) -> np.ndarray:
+    def _split(self, x: np.ndarray, axis: int) -> np.ndarray:
         """Vecs along ``axis`` of x in Kronecker order, split into the
         factors' axes (da, db) at ``axis``."""
+        if self.perm is None:
+            return x.reshape(x.shape[:axis] + self.sides + x.shape[axis + 1:])
         kron = np.empty_like(x)
         kron[(slice(None),) * axis + (self.perm,)] = x
         return kron.reshape(x.shape[:axis] + self.sides + x.shape[axis + 1:])
 
+    def _sandwich(self, left: np.ndarray, x: np.ndarray,
+                  right: np.ndarray) -> np.ndarray:
+        """left X right^T for a (da, cols, db) array X; right is not applied
+        when db = 1."""
+        return _sandwich(left, x, None if self.b is None else right)
+
     def columns_in(self, x: np.ndarray) -> np.ndarray:
         """Columns of vecs of Hermitian elements, (D, m), as the real
         layout array (da, m, db)."""
-        if self.perm is None:
-            c = hermitian_coordinates(self.shapes[0], x).real
-            return np.ascontiguousarray(c).reshape(self.sides[0], -1, 1)
-        c = hermitian_coordinates(self.shapes[0], self._kron(x, 0), axis=0)
-        c = hermitian_coordinates(self.shapes[1], c, axis=1).real
-        return np.ascontiguousarray(c.transpose(0, 2, 1))
+        ha, hb = self.bases[0], self.bases[-1]
+        y = self._split(x, 0).transpose(0, 2, 1)
+        return np.ascontiguousarray(
+            self._sandwich(ha.conj().T, y, hb.conj().T).real)
 
     def rows_in(self, rows: np.ndarray) -> np.ndarray:
         """Pairing rows r, (m, D), as complex (m, da, db), so that r_j . x_j
         is the sum over a, b of R[j, a, b] X[a, j, b] for the columns X
         moved in; pair them with ``_pairings``."""
-        if self.perm is None:
-            return pairing_coordinates(self.shapes[0], rows,
-                                       axis=1)[:, :, None]
-        r = pairing_coordinates(self.shapes[0], self._kron(rows, 1), axis=1)
-        return pairing_coordinates(self.shapes[1], r, axis=2)
+        ha, hb = self.bases[0], self.bases[-1]
+        f = self._split(rows, 1).transpose(1, 0, 2)
+        return self._sandwich(ha.T, f, hb.T).transpose(1, 0, 2)
 
     def columns_out(self, x: np.ndarray) -> np.ndarray:
         """Columns X of shape (da, ..., db) as vecs along the first axis,
         (da * db, ...), with the middle axes kept."""
         da, *cols, db = x.shape
+        ha, hb = self.bases[0], self.bases[-1]
+        y = self._sandwich(ha, x.reshape(da, -1, db), hb)
         if self.perm is None:
-            return hermitian_vecs(self.shapes[0], x.reshape(da, *cols))
-        y = hermitian_vecs(self.shapes[1], hermitian_vecs(self.shapes[0], x),
-                           axis=-1)
+            return y.reshape(da, *cols)
         return np.moveaxis(y, -1, 1).reshape(da * db, *cols)[self.perm]
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        da, cols, db = x.shape
-        y = self.a @ x.reshape(da, cols * db)
-        if self.b is None:
-            return y.reshape(da, cols, 1)
-        return (y.reshape(da * cols, db) @ self.b.T).reshape(da, cols, db)
+        return _sandwich(self.a, x, self.b)
+
+
+def _sandwich(left: np.ndarray, x: np.ndarray,
+              right: np.ndarray | None) -> np.ndarray:
+    """left X right^T for a (da, cols, db) array X, as two GEMMs; X -> left X
+    when right is None (db = 1). A real X meets a complex ``left`` cast to
+    complex: numpy's matmul of mixed types does not reach BLAS."""
+    da, cols, db = x.shape
+    x = x.reshape(da, cols * db).astype(left.dtype, copy=False)
+    y = left @ x
+    if right is None:
+        return y.reshape(len(left), cols, 1)
+    return (y.reshape(len(left) * cols, db) @ right.T).reshape(
+        len(left), cols, len(right))
 
 
 def _pairings(spec: str, rows: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -3,13 +3,25 @@
 Spectrum with clustered multiplicities, peripheral part, fixed-space
 dimension, Cesàro projectors (exact spectral form and iterated running
 means), power limits, and defectiveness detection. An operator's spectral
-data comes from one sorted complex Schur form and one SVD of M - I of its
-dense D x D matrix, except for a tensor product S (x) R built by
+data comes from one sorted complex Schur form of its dense D x D matrix and
+one SVD of M - I, except for a tensor product S (x) R built by
 ``channel.tensor``: its eigenvalues, clusters, Cesàro projector and defect
 flag come from the factors' own data (the peripheral spectrum of a
 power-bounded map is diagonalizable, so the Cesàro projector of S (x) R is
-the sum of P_a (x) P_b over factor clusters a, b with ab = 1), and only the
-SVD of M - I runs on the product's own matrix.
+the sum of P_a (x) P_b over factor clusters a, b with ab = 1). Cesàro and
+cluster projectors are kept as factor pairs X, Y with P = X Y, X one column
+per eigenvalue in the cluster, so no D^2 x D^2 projector is formed for a
+product unless one is asked for.
+
+The SVD of M - I runs on T's real form: T preserves Hermiticity, so over
+an orthonormal basis of Hermitian elements its matrix R is real, and R - I
+has the singular values of M - I. For T (x) T (the product the library
+forms) the real form is kron(R, R), which commutes with the swap of its
+factors; its SVD splits into two real SVDs of the swap-symmetric and
+-antisymmetric halves, of sides D(D+1)/2 and D(D-1)/2. A product of two
+different factors takes one real SVD of kron(R_S, R_R) - I. Only the
+columns of U that ``range_of_defect`` and ``invariant_states`` read are
+mapped back to vecs.
 
 A peripheral Jordan block is a hard error throughout. Positive unital maps
 are power-bounded, so a defective peripheral cluster proves the input is not
@@ -26,6 +38,7 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from .algebra import (
+    _HALF_ROOT,
     hermitian_vecs,
     orthonormal_hermitian_basis,
     tensor_permutation,
@@ -210,9 +223,6 @@ def _spectral_data(op: MarkovOperator, config: Config) -> _SpectralData:
             data = _analyse(op, config)
         data = op._spectral_memo.setdefault(config, data)
     return data
-
-
-_HALF_ROOT = 1.0 / np.sqrt(2.0)
 
 
 def _swap_halves(r: np.ndarray) -> list[tuple[np.ndarray, object]]:
