@@ -551,8 +551,9 @@ def orthonormal_hermitian_basis(shape: AlgebraShape) -> np.ndarray:
     """``hermitian_basis_matrix`` with unit columns: a unitary H with
     H* H = I whose columns are Hermitian. A Hermitian element x has real
     coordinates H* vec(x), and a Hermiticity-preserving M the real matrix
-    H* M H. Memoized per shape; read-only. The functions below apply H, H*
-    and H^T by index arithmetic instead of products with it."""
+    H* M H. Memoized per shape; read-only. The functions below apply H*
+    and H^T by index arithmetic, without forming H, for the algebras of
+    tensor squares too."""
     h = hermitian_basis_matrix(shape) / hermitian_basis_norms(shape)
     h.setflags(write=False)
     return h
@@ -562,51 +563,32 @@ _HALF_ROOT = 1.0 / math.sqrt(2.0)
 
 
 @functools.cache
-def _basis_gathers(shape: AlgebraShape, kind: str) -> tuple[np.ndarray, ...]:
+def _basis_gathers(shape: AlgebraShape, phase: complex) -> tuple[np.ndarray, ...]:
     """(src0, w0, src1, w1), read-only, with x[src0] w0 + x[src1] w1 equal
-    to H x (kind "vecs"), H* x ("coordinates") or H^T x ("pairing"), H the
-    ``orthonormal_hermitian_basis``: each entry of the result combines at
-    most two entries of x. Memoized per shape and kind."""
+    to H* x (phase -1j) or H^T x (phase 1j), H the
+    ``orthonormal_hermitian_basis``: each coordinate combines at most two
+    entries of x. Memoized per shape and phase."""
     diag, upper, lower, diag_cols, pair_cols = _hermitian_index(shape)
     src = np.empty((2, shape.dim), dtype=np.intp)
     w = np.zeros((2, shape.dim), dtype=complex)
-    if kind == "vecs":
-        src[:, diag] = diag_cols
-        w[0, diag] = 1.0
-        src[0, upper] = src[0, lower] = pair_cols
-        src[1, upper] = src[1, lower] = pair_cols + 1
-        w[0, upper] = w[0, lower] = _HALF_ROOT
-        w[1, upper], w[1, lower] = 1j * _HALF_ROOT, -1j * _HALF_ROOT
-    else:
-        phase = -1j if kind == "coordinates" else 1j
-        src[:, diag_cols] = diag
-        w[0, diag_cols] = 1.0
-        src[0, pair_cols] = src[0, pair_cols + 1] = upper
-        src[1, pair_cols] = src[1, pair_cols + 1] = lower
-        w[:, pair_cols] = _HALF_ROOT
-        w[0, pair_cols + 1] = phase * _HALF_ROOT
-        w[1, pair_cols + 1] = -phase * _HALF_ROOT
+    src[:, diag_cols] = diag
+    w[0, diag_cols] = 1.0
+    src[0, pair_cols] = src[0, pair_cols + 1] = upper
+    src[1, pair_cols] = src[1, pair_cols + 1] = lower
+    w[:, pair_cols] = _HALF_ROOT
+    w[0, pair_cols + 1] = phase * _HALF_ROOT
+    w[1, pair_cols + 1] = -phase * _HALF_ROOT
     for a in (src, w):
         a.setflags(write=False)
     return src[0], w[0], src[1], w[1]
 
 
-def _gathered(shape: AlgebraShape, x: np.ndarray, axis: int,
-              kind: str) -> np.ndarray:
-    """``_basis_gathers`` of ``kind`` applied along ``axis`` of x. For real
-    x and kind "vecs" the weights are real (w0) and imaginary (w1), and the
-    real and imaginary parts are written apart."""
-    src0, w0, src1, w1 = _basis_gathers(shape, kind)
+def _basis_adjoint(shape: AlgebraShape, x: np.ndarray, axis: int,
+                   phase: complex) -> np.ndarray:
+    """``_basis_gathers`` of ``phase`` applied along ``axis`` of x."""
+    src0, w0, src1, w1 = _basis_gathers(shape, phase)
     x = np.asarray(x)
-    axis %= x.ndim
-    tail = (-1,) + (1,) * (x.ndim - axis - 1)
-    if kind == "vecs" and not np.iscomplexobj(x):
-        out = np.empty(x.shape, dtype=complex)
-        np.multiply(np.take(x, src0, axis=axis), w0.real.reshape(tail),
-                    out=out.real)
-        np.multiply(np.take(x, src1, axis=axis), w1.imag.reshape(tail),
-                    out=out.imag)
-        return out
+    tail = (-1,) + (1,) * (x.ndim - axis % x.ndim - 1)
     out = np.take(x, src0, axis=axis).astype(complex, copy=False)
     out *= w0.reshape(tail)
     second = np.take(x, src1, axis=axis).astype(complex, copy=False)
@@ -619,21 +601,14 @@ def hermitian_coordinates(shape: AlgebraShape, x: np.ndarray,
                           axis: int = 0) -> np.ndarray:
     """H* x along ``axis``, H the ``orthonormal_hermitian_basis``: the
     coordinates of vecs, real up to rounding for Hermitian elements."""
-    return _gathered(shape, x, axis, "coordinates")
+    return _basis_adjoint(shape, x, axis, -1j)
 
 
 def pairing_coordinates(shape: AlgebraShape, f: np.ndarray,
                         axis: int = 0) -> np.ndarray:
     """H^T f along ``axis``: the coordinates of pairing rows, so that
     f . vec(x) = (H^T f) . (H* vec(x)) for every element x."""
-    return _gathered(shape, f, axis, "pairing")
-
-
-def hermitian_vecs(shape: AlgebraShape, c: np.ndarray,
-                   axis: int = 0) -> np.ndarray:
-    """H c along ``axis``: the vecs of the elements with coordinates c,
-    the inverse of ``hermitian_coordinates``."""
-    return _gathered(shape, c, axis, "vecs")
+    return _basis_adjoint(shape, f, axis, 1j)
 
 
 def real_form(shape: AlgebraShape, matrix: np.ndarray) -> np.ndarray:

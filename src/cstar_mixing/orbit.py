@@ -72,22 +72,23 @@ class _OrbitLayout:
     Probe columns and pairing rows move in once, results move out once, by
     products with the orthonormal Hermitian bases H_a, H_b of T's shape or
     of the factors' shapes: coordinates H_a* Y conj(H_b), vecs H_a X H_b^T.
-    These bases are as large as A and B; on the blocks of orbit means that
-    move out of a tensor square (about 8e4 entries) one such product takes
-    a quarter of the time of ``algebra``'s index maps, whose complex
-    arithmetic makes several passes over the block.
+    These bases are no larger than A and B, and on the large blocks of
+    orbit means that move out of a tensor square one such product is
+    faster than ``algebra``'s index maps, whose complex arithmetic makes
+    several passes over the block.
     """
 
     a: np.ndarray
     b: np.ndarray | None
-    bases: tuple[np.ndarray, ...]   # H_a, or H_a and H_b for a product
-    perm: np.ndarray | None         # tensor_permutation of the factors
+    bases: tuple[np.ndarray, np.ndarray | None]   # H_a, H_b (None: db = 1)
+    perm: np.ndarray | None     # tensor_permutation of the factors
 
     @staticmethod
     def of(op: MarkovOperator) -> "_OrbitLayout":
         if op.factors is None:
             return _OrbitLayout(op.real_matrix, None,
-                                (orthonormal_hermitian_basis(op.shape),), None)
+                                (orthonormal_hermitian_basis(op.shape), None),
+                                None)
         left, right = op.factors
         return _OrbitLayout(left.real_matrix, right.real_matrix,
                             (orthonormal_hermitian_basis(left.shape),
@@ -109,40 +110,36 @@ class _OrbitLayout:
     def _split(self, x: np.ndarray, axis: int) -> np.ndarray:
         """Vecs along ``axis`` of x in Kronecker order, split into the
         factors' axes (da, db) at ``axis``."""
-        if self.perm is None:
-            return x.reshape(x.shape[:axis] + self.sides + x.shape[axis + 1:])
-        kron = np.empty_like(x)
-        kron[(slice(None),) * axis + (self.perm,)] = x
-        return kron.reshape(x.shape[:axis] + self.sides + x.shape[axis + 1:])
+        if self.perm is not None:
+            kron = np.empty_like(x)
+            kron[(slice(None),) * axis + (self.perm,)] = x
+            x = kron
+        return x.reshape(x.shape[:axis] + self.sides + x.shape[axis + 1:])
 
-    def _sandwich(self, left: np.ndarray, x: np.ndarray,
-                  right: np.ndarray) -> np.ndarray:
-        """left X right^T for a (da, cols, db) array X; right is not applied
-        when db = 1."""
-        return _sandwich(left, x, None if self.b is None else right)
+    def _by_bases(self, x: np.ndarray, form) -> np.ndarray:
+        """form(H_a) X form(H_b)^T for a (da, cols, db) array X."""
+        ha, hb = self.bases
+        return _sandwich(form(ha), x, None if hb is None else form(hb))
 
     def columns_in(self, x: np.ndarray) -> np.ndarray:
         """Columns of vecs of Hermitian elements, (D, m), as the real
         layout array (da, m, db)."""
-        ha, hb = self.bases[0], self.bases[-1]
         y = self._split(x, 0).transpose(0, 2, 1)
         return np.ascontiguousarray(
-            self._sandwich(ha.conj().T, y, hb.conj().T).real)
+            self._by_bases(y, lambda h: h.conj().T).real)
 
     def rows_in(self, rows: np.ndarray) -> np.ndarray:
         """Pairing rows r, (m, D), as complex (m, da, db), so that r_j . x_j
         is the sum over a, b of R[j, a, b] X[a, j, b] for the columns X
         moved in; pair them with ``_pairings``."""
-        ha, hb = self.bases[0], self.bases[-1]
         f = self._split(rows, 1).transpose(1, 0, 2)
-        return self._sandwich(ha.T, f, hb.T).transpose(1, 0, 2)
+        return self._by_bases(f, lambda h: h.T).transpose(1, 0, 2)
 
     def columns_out(self, x: np.ndarray) -> np.ndarray:
         """Columns X of shape (da, ..., db) as vecs along the first axis,
         (da * db, ...), with the middle axes kept."""
         da, *cols, db = x.shape
-        ha, hb = self.bases[0], self.bases[-1]
-        y = self._sandwich(ha, x.reshape(da, -1, db), hb)
+        y = self._by_bases(x.reshape(da, -1, db), lambda h: h)
         if self.perm is None:
             return y.reshape(da, *cols)
         return np.moveaxis(y, -1, 1).reshape(da * db, *cols)[self.perm]

@@ -39,7 +39,6 @@ import scipy.linalg.lapack
 
 from .algebra import (
     _HALF_ROOT,
-    hermitian_vecs,
     orthonormal_hermitian_basis,
     tensor_permutation,
 )
@@ -464,11 +463,11 @@ def cesaro_projector_iterative(op: MarkovOperator, n: int, tol: float,
                              residual=float("inf"), raw_mean=eye.copy())
     h = n // 2
     # the orbits of the orthonormal Hermitian basis H give S_k H, and
-    # S_k = (S_k H) H* = (H (S_k H)*)*
-    _, layout, sums = _orbit_sums(op, orthonormal_hermitian_basis(op.shape),
-                                  n, 1)
-    s_half, s_full = (hermitian_vecs(op.shape, x.conj().T).conj().T for x in
-                      layout.columns_out(sums[:, -2:]).transpose(1, 0, 2))
+    # S_k = (S_k H) H*
+    basis = orthonormal_hermitian_basis(op.shape)
+    _, layout, sums = _orbit_sums(op, basis, n, 1)
+    s_half, s_full = layout.columns_out(sums[:, -2:]).transpose(1, 0, 2) \
+        @ basis.conj().T
     m_half, m_full = s_half / h, s_full / n
     residual = float(np.linalg.norm(m_full - m_half, 2))
     # extrapolate the O(1/n) running-mean tail: exact for the projector part
