@@ -101,7 +101,6 @@ from .orbit import (
     _orbit,
     _orbit_sums,
     _OrbitLayout,
-    _pairings,
     _read_samples,
     _sample_lengths,
 )
@@ -323,7 +322,7 @@ def _correlation_running(sys: DynamicalSystem, rows: np.ndarray,
     # to steps b*s .. b*s + s - 1, so the whole array reshapes to (n, m)
     pairings = np.empty((n // s, s * m), dtype=complex)
     for b, x in enumerate(strides):
-        pairings[b] = _pairings("jab,ajb->j", rows_wide, x)
+        pairings[b] = np.einsum("jab,ajb->j", rows_wide, x)
     series = pairings.reshape(n, m)
     series -= consts
     return series
@@ -352,7 +351,7 @@ def _signed_means(sys: DynamicalSystem, rows: np.ndarray, consts: np.ndarray,
     w = min(cfg.dyadic_window, n // 2)
     ks, layout, sums = _orbit_sums(sys.operator, x0, n, w)
     k = ks[:, None]
-    paired = _pairings("iab,akib->ki", layout.rows_in(rows), sums)
+    paired = np.einsum("iab,akib->ki", layout.rows_in(rows), sums)
     means = np.abs(paired - k * consts) / k
     return _read_samples(means, n, w)
 
@@ -451,15 +450,18 @@ def _orbit_norm_series(sys: DynamicalSystem, x0: np.ndarray,
     s, layout, strides = _orbit(sys.operator, x0, n)
     norms = np.full((n, m), _NORM_FLOOR)
     floor_step, flat = None, 0
+    ends = np.r_[:m, (s - 1) * m:s * m]
     for b, x in zip(range(0, n, s), strides):
-        rows = layout.columns_out(x).T.reshape(s, m, d)
-        first, last = hermitian_operator_norms(sys.shape, rows[[0, -1]])
+        # only the two ends of a flat stride move out of the layout
+        edge = layout.columns_out(x[:, ends]).T.reshape(2, m, d)
+        first, last = hermitian_operator_norms(sys.shape, edge)
         if np.all(np.abs(first - last) <= _FLAT_STRIDE * first):
             norms[b:b + s] = np.linspace(first, last, s)
             flat += 1
         else:
-            norms[b:b + s] = hermitian_operator_norms(sys.shape, rows)
-        if np.linalg.norm(rows[-1], axis=1).max() <= _NORM_FLOOR:
+            norms[b:b + s] = hermitian_operator_norms(
+                sys.shape, layout.columns_out(x).T.reshape(s, m, d))
+        if np.linalg.norm(edge[1], axis=1).max() <= _NORM_FLOOR:
             floor_step = b + s
             break
     return norms, floor_step, flat
@@ -523,7 +525,7 @@ def _power_estimators(sys: DynamicalSystem, rng: np.random.Generator,
     n_half, n_full = (hermitian_operator_norms(
         sys.shape, layout.columns_out(power(k).step(x_norm)).T)
         for k in (i - 1, i))
-    w_half, w_full = (np.abs(_pairings("jab,ajb->j", rows,
+    w_half, w_full = (np.abs(np.einsum("jab,ajb->j", rows,
                                        power(k).step(x_weak)))
                       for k in (i - 1, i))
     return {

@@ -131,7 +131,7 @@ class _OrbitLayout:
     def rows_in(self, rows: np.ndarray) -> np.ndarray:
         """Pairing rows r, (m, D), as complex (m, da, db), so that r_j . x_j
         is the sum over a, b of R[j, a, b] X[a, j, b] for the columns X
-        moved in; pair them with ``_pairings``."""
+        moved in."""
         f = self._split(rows, 1).transpose(1, 0, 2)
         return self._by_bases(f, lambda h: h.T).transpose(1, 0, 2)
 
@@ -160,13 +160,6 @@ def _sandwich(left: np.ndarray, x: np.ndarray,
         return y.reshape(len(left), cols, 1)
     return (y.reshape(len(left) * cols, db) @ right.T).reshape(
         len(left), cols, len(right))
-
-
-def _pairings(spec: str, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``np.einsum(spec, rows, x)`` for complex rows from ``rows_in`` and a
-    real layout array x, as two real contractions: x is never cast to
-    complex."""
-    return np.einsum(spec, rows.real, x) + 1j * np.einsum(spec, rows.imag, x)
 
 
 def _dyadic_powers(layout: _OrbitLayout):
