@@ -103,7 +103,7 @@ def example_outputs() -> dict:
             files = {}
             for fname in sorted(os.listdir(tmp)):
                 with open(os.path.join(tmp, fname), encoding="utf-8") as fh:
-                    # file paths inside a document name the scratch directory
+                    # file paths inside a document name the temporary directory
                     text = fh.read().replace(tmp + os.sep, "")
                 files[fname] = _downsampled(json.loads(text))
         out[name] = {"exit_code": code, "files": files}
