@@ -16,6 +16,7 @@ the test reads those blocks from the superoperator directly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -315,27 +316,29 @@ def check_positive_sampled(op: MarkovOperator, trials: int, seed: int = 0,
 
 @dataclass(frozen=True, eq=False)
 class DualMap:
-    """The map psi -> psi . T under the bilinear trace pairing.
-
-    ``matrix`` acts on functional vectorizations (stacked sigma blocks):
-    it is K M^T K with K the blockwise transpose permutation.
-    """
+    """The map psi -> psi . T under the bilinear trace pairing: psi . T has
+    the pairing row psi.row() @ M. ``matrix`` is the same map on functional
+    vectorizations (stacked sigma blocks), K M^T K with K the blockwise
+    transpose permutation; it is built on its first read, read-only."""
 
     shape: AlgebraShape
-    matrix: np.ndarray = field(repr=False)
+    operator: MarkovOperator = field(repr=False)
 
     def __call__(self, psi: Functional) -> Functional:
         if psi.shape != self.shape:
             raise ShapeMismatch(f"{self.shape} vs {psi.shape}")
-        return Functional.from_vec(self.shape, self.matrix @ psi.vec())
+        return Functional.from_row(self.shape, psi.row() @ self.operator.matrix)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        k = transpose_permutation(self.shape)
+        m = np.ascontiguousarray(self.operator.matrix.T[np.ix_(k, k)])
+        m.setflags(write=False)
+        return m
 
 
 def dual(op: MarkovOperator) -> DualMap:
-    k = transpose_permutation(op.shape)
-    m = op.matrix.T[np.ix_(k, k)]
-    m = np.ascontiguousarray(m)
-    m.setflags(write=False)
-    return DualMap(op.shape, m)
+    return DualMap(op.shape, op)
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +352,13 @@ def canonical_invariant_state(op: MarkovOperator, config: Config = DEFAULT) -> F
     gives a deterministic, basis-independent choice when there are several.
     Reads the Cesàro projector P = X Y of the operator's memoized spectral
     data (raising DefectivePeripheral for a Jordan block at 1): the dual
-    matrix is K M^T K with K the transpose permutation (an involution), so
-    the dual's projector is K P^T K, and the averaged state is
-    (Y^T X^T u[k])[k].
+    acts on pairing rows as r -> r @ M, so the averaged state is the one
+    with pairing row (u @ X) @ Y, u the maximally mixed state's row.
     """
     from .spectral import _spectral_data  # local import, no cycle at module load
-    k = transpose_permutation(op.shape)
-    u = Functional.uniform_state(op.shape).vec()
+    u = Functional.uniform_state(op.shape).row()
     x, y = _spectral_data(op, config).cesaro_factors()
-    v = (y.T @ (x.T @ u[k]))[k]
-    psi = Functional.from_vec(op.shape, v)
+    psi = Functional.from_row(op.shape, (u @ x) @ y)
     # invariance forces psi(1) real; normalize trace to one
     total = sum(np.trace(b) for b in psi.blocks)
     if abs(total) < 1e-12:
@@ -369,15 +369,16 @@ def canonical_invariant_state(op: MarkovOperator, config: Config = DEFAULT) -> F
 def _candidate_states(op: MarkovOperator, null: np.ndarray,
                       config: Config) -> Iterator[Functional]:
     """The canonical state, then the normalized positive Jordan parts of the
-    fixed Hermitian functionals in ``null``, then their negative parts,
-    produced on demand. The positive parts of a basis are mostly
-    independent, while a negative part often repeats one already taken
-    (h = p - q and h' = p' - q share q), so the negative parts come last."""
+    fixed Hermitian functionals whose pairing rows are the columns of
+    ``null``, then their negative parts, produced on demand. The positive
+    parts of a basis are mostly independent, while a negative part often
+    repeats one already taken (h = p - q and h' = p' - q share q), so the
+    negative parts come last."""
     yield canonical_invariant_state(op, config)
     negatives = []
     for idx in range(null.shape[1]):
-        # the columns are Hermitian up to rounding: keep the Hermitian part
-        h = Functional.from_vec(op.shape, null[:, idx]).hermitian_parts()[0]
+        # the rows are Hermitian up to rounding: keep the Hermitian part
+        h = Functional.from_row(op.shape, null[:, idx]).hermitian_parts()[0]
         if functional_norm(h) < 1e-12:
             continue
         hp, hm = jordan_decompose(h, tol=1e-8)
@@ -397,13 +398,13 @@ def _normalized(part: Functional) -> Iterator[Functional]:
 def invariant_states(op: MarkovOperator, config: Config = DEFAULT) -> list[Functional]:
     """States spanning the fixed states of the dual map.
 
-    The fixed functionals at eigenvalue 1 are the null space of
-    (dual - I) = K (M - I)^T K, read from the memoized SVD of M - I as
-    conj(U[:, s <= cut])[k] with the cut at ``tol_invariant_state``. That
-    SVD runs on T's real form, so these columns are Hermitian functionals,
-    and the positive Jordan parts of fixed Hermitian functionals are fixed
-    for positive unital maps, which turns a fixed-space basis into a
-    spanning family of invariant states. Returns
+    The dual acts on pairing rows as r -> r @ M, so the fixed functionals
+    at eigenvalue 1 have as rows the left null vectors of M - I, read from
+    its memoized SVD as conj(U[:, s <= cut]) with the cut at
+    ``tol_invariant_state``. That SVD runs on T's real form, so these rows
+    are Hermitian functionals, and the positive Jordan parts of fixed
+    Hermitian functionals are fixed for positive unital maps, which turns
+    a fixed-space basis into a spanning family of invariant states. Returns
     exactly one state iff the fixed space is one-dimensional. Singular
     values within a factor 10 of the cut raise NumericalDegeneracy.
     """
@@ -415,11 +416,11 @@ def invariant_states(op: MarkovOperator, config: Config = DEFAULT) -> list[Funct
     if ambiguous:
         raise NumericalDegeneracy(
             f"singular values {ambiguous} straddle the rank cut {cut:.1e}")
-    null = np.conj(defect.columns(s <= cut))[transpose_permutation(op.shape)]
+    null = np.conj(defect.columns(s <= cut))
     k = null.shape[1]
     if k == 0:
         raise NumericalDegeneracy("no fixed functional found for a unital map")
-    dm = dual(op).matrix
+    dm = dual(op)
 
     # keep candidates that really are invariant states, pruned to an
     # independent set spanning the fixed Hermitian functionals; candidates
@@ -430,8 +431,7 @@ def invariant_states(op: MarkovOperator, config: Config = DEFAULT) -> list[Funct
     for psi in _candidate_states(op, null, config):
         if not psi.is_state(tol=1e-8):
             continue
-        if functional_norm(Functional.from_vec(op.shape, dm @ psi.vec()) - psi) \
-                > config.tol_invariant_state * 10:
+        if functional_norm(dm(psi) - psi) > config.tol_invariant_state * 10:
             continue
         # the distance of psi from that span, by Gram-Schmidt taken twice
         # (once more absorbs the rounding of the first pass)

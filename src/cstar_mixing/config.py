@@ -3,12 +3,15 @@
 One frozen dataclass holds every numeric knob in the package so that reports
 can embed the exact configuration they were produced under. Defaults are the
 contract values; anything can be overridden per call via ``replace``.
-Horizons and counts the estimators cannot run with raise ValidationError.
+Horizons and counts the estimators cannot run with, float fields that are
+negative, infinite or NaN, and a ``dyadic_factor`` outside (0, 1] raise
+ValidationError.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -43,9 +46,19 @@ class Config:
     exact_power_n: int = 1024           # dual-power horizon, 2**10
     exact_estimator_tol: float = 1e-6   # trace-norm residual bound at that horizon
 
-    seed: int = 0                       # estimator sampling seed
+    # seed of from_superoperator's sampled-positivity check; the estimators
+    # take theirs from classify(seed=) and the command line's --seed
+    seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, float) and not 0.0 <= v < math.inf:
+                raise ValidationError(
+                    f"{f.name} must be finite and nonnegative, got {v!r}")
+        if not 0.0 < self.dyadic_factor <= 1.0:
+            raise ValidationError(
+                f"dyadic_factor must lie in (0, 1], got {self.dyadic_factor!r}")
         for name, low in (("estimator_n", 2), ("estimator_pairs", 1),
                           ("dyadic_window", 1)):
             if getattr(self, name) < low:

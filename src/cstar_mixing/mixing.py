@@ -110,7 +110,6 @@ from .spectral import (
     _spectral_data,
     cesaro_projector_spectral,
     power_limit,
-    range_of_defect,
     spectrum,
 )
 
@@ -539,22 +538,23 @@ def _power_estimators(sys: DynamicalSystem, rng: np.random.Generator,
 
 def _dual_power_estimator(sys: DynamicalSystem, rng: np.random.Generator,
                           cfg: Config) -> tuple[bool, dict]:
-    """||psi . T^n - psi(1) phi||_1 at the power horizon, random functionals."""
+    """||psi . T^n - psi(1) phi||_1 at the power horizon, random functionals,
+    on pairing rows: psi . T^n has the row psi.row() @ M^n, and a row holds
+    its functional's blocks transposed, so its trace norm is the same."""
     one = _identity_vec(sys.shape)
-    # the random functionals are not Hermitian: the dual's powers stay
-    # complex, squared in place of the real ladder
-    d_half = dual(sys.operator).matrix
+    # the random functionals are not Hermitian: M's powers stay complex,
+    # squared in place of the real ladder
+    m_half = sys.operator.matrix
     for _ in range(cfg.exact_power_n.bit_length() - 2):
-        d_half = d_half @ d_half
-    d_full = d_half @ d_half
+        m_half = m_half @ m_half
+    m_full = m_half @ m_half
     psis = _random_functional_vecs(sys.shape, rng, cfg.estimator_pairs)
-    v = np.ascontiguousarray(psis.T)
-    # psi_j(1), one dot per functional as Functional.__call__ takes it
     rows = np.take(psis, transpose_permutation(sys.shape), axis=1)
+    # psi_j(1), one dot per functional as Functional.__call__ takes it
     units = [complex(r @ one) for r in rows]
-    target = np.outer(sys.state.vec(), units)
-    vals_half = trace_norms(sys.shape, (d_half @ v - target).T)
-    vals_full = trace_norms(sys.shape, (d_full @ v - target).T)
+    target = np.outer(units, sys.state.row())
+    vals_half = trace_norms(sys.shape, rows @ m_half - target)
+    vals_full = trace_norms(sys.shape, rows @ m_full - target)
     ok = _dyadic_passes(vals_half, vals_full, cfg.exact_estimator_tol, cfg)
     return ok, {"at_full": [float(x) for x in vals_full]}
 
@@ -664,16 +664,16 @@ def check_strictly_ergodic(sys: DynamicalSystem, config: Config = DEFAULT,
     """Uniqueness of the invariant state: a 1-cluster of one eigenvalue.
 
     Cross-checks: the norm-Cesàro estimator ||(1/n) sum T^k x - phi(x) 1||,
-    the rank identity rank(T - id) = D - 1 from the SVD of M - I, and
-    invariant_states returning exactly the system state. A unique invariant
-    state different from phi raises InvariantStateMismatch.
+    the rank identity rank(T - id) = D - 1 from the SVD of M - I, read as
+    ``fixed_space_dim`` == 1, and invariant_states returning exactly the
+    system state. A unique invariant state different from phi raises
+    InvariantStateMismatch.
     """
     data = _spectral_data(sys.operator, config)
     spectral = data.one_count == 1
     rng = np.random.default_rng(seed)
     estim, trace = _cesaro_norm_estimator(sys, rng, config)
-    d = sys.shape.dim
-    rank_crit = range_of_defect(sys.operator, config).shape[1] == d - 1
+    rank_crit = data.summary.fixed_space_dim == 1
     states = invariant_states(sys.operator, config)
     unique = len(states) == 1
     if unique:
@@ -813,9 +813,10 @@ def _observed_conditions(sys: DynamicalSystem, config: Config,
 def check_peripheral_obstruction(sys: DynamicalSystem,
                                  config: Config = DEFAULT) -> ObstructionRecord:
     """Search the dual spectrum for an eigenpair h . T = alpha h, |alpha| = 1,
-    alpha != 1, the explicit witness that rules out strict weak mixing."""
-    dm = dual(sys.operator).matrix
-    w, v = np.linalg.eig(dm)
+    alpha != 1, the explicit witness that rules out strict weak mixing. The
+    eigenvectors of M^T are the eigenfunctionals' pairing rows; this solve
+    stays apart from the Schur form as prop_4_4's independent side."""
+    w, v = np.linalg.eig(sys.operator.matrix.T)
     candidates = [
         i for i in range(w.size)
         if abs(w[i]) >= 1.0 - config.tol_peripheral
@@ -828,10 +829,9 @@ def check_peripheral_obstruction(sys: DynamicalSystem,
     top = max(abs(w[j]) for j in candidates)
     i = min((j for j in candidates if abs(w[j]) >= top - config.tol_peripheral),
             key=lambda j: np.angle(w[j]) % (2 * np.pi))
-    h = Functional.from_vec(sys.shape, v[:, i])
+    h = Functional.from_row(sys.shape, v[:, i])
     h = h * (1.0 / functional_norm(h))
-    resid = functional_norm(
-        Functional.from_vec(sys.shape, dm @ h.vec()) - complex(w[i]) * h)
+    resid = functional_norm(dual(sys.operator)(h) - complex(w[i]) * h)
     return ObstructionRecord(clean=False, alpha=complex(w[i]),
                              witness=h, residual=float(resid))
 

@@ -19,6 +19,10 @@ these files: discrete fields exactly, floats to a relative tolerance.
     python tests/golden/generate.py           # rewrite the golden files
     python tests/golden/generate.py --bytes   # exit 1 unless the current
                                               # code reproduces them exactly
+
+Where the bytes differ, ``--bytes`` names each differing file with its
+largest absolute difference between floats at the same place, and where
+that difference is.
 """
 
 from __future__ import annotations
@@ -121,6 +125,23 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=1, allow_nan=False) + "\n"
 
 
+def largest_float_difference(got, want, path=""):
+    """(|got - want|, path) for the floats at the same place in two JSON
+    documents that differ the most; (0.0, None) if none differ. Integers,
+    and places that only one document has, are skipped."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        pairs = [(got[k], want[k], f"{path}.{k}") for k in want if k in got]
+    elif isinstance(got, list) and isinstance(want, list):
+        pairs = [(g, w, f"{path}[{i}]")
+                 for i, (g, w) in enumerate(zip(got, want))]
+    elif isinstance(got, float) and isinstance(want, float):
+        return (abs(got - want), path) if got != want else (0.0, None)
+    else:
+        return 0.0, None
+    return max((largest_float_difference(g, w, p) for g, w, p in pairs),
+               key=lambda found: found[0], default=(0.0, None))
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--bytes", action="store_true",
@@ -134,11 +155,15 @@ def main(argv=None) -> int:
         if not args.bytes:
             path.write_text(text, encoding="utf-8")
             print(f"wrote {path} ({len(text)} bytes)")
-        elif not path.exists() or path.read_text(encoding="utf-8") != text:
-            differ.append(fname)
+        elif not path.exists():
+            differ.append(f"{fname}: missing")
+        elif (golden := path.read_text(encoding="utf-8")) != text:
+            size, where = largest_float_difference(json.loads(text),
+                                                   json.loads(golden))
+            differ.append(f"{fname}: largest float difference {size:.2g}"
+                          f" at {where or '-'}")
     if args.bytes:
-        print("byte-identical" if not differ
-              else "differ: " + ", ".join(differ))
+        print("\n".join(["differ:"] + differ) if differ else "byte-identical")
     return 1 if differ else 0
 
 

@@ -168,14 +168,24 @@ def test_from_stochastic_names_negative_entry():
 
 
 def test_dual_pairing_adjointness():
+    # a call pairs rows with M; the matrix K M^T K, built only when read,
+    # is the reference on non-Hermitian functionals, here on (2), (1,2),
+    # (2,3) and a tensor square
     rng = np.random.default_rng(9)
-    shape = AlgebraShape([1, 2])
-    op = random_unital_cp(shape, 3, seed=4)
-    dm = dual(op)
-    for _ in range(5):
-        psi = random_functional(shape, rng)
-        x = random_element(shape, rng)
-        assert dm(psi)(x) == pytest.approx(psi(op(x)), abs=1e-11)
+    ops = [random_unital_cp(AlgebraShape(b), 3, seed=4)
+           for b in ([2], [1, 2], [2, 3])]
+    for op in ops + [tensor(ops[0], ops[0])]:
+        shape = op.shape
+        dm = dual(op)
+        assert "matrix" not in vars(dm)
+        for _ in range(5):
+            psi = random_functional(shape, rng)
+            assert not psi.is_hermitian()
+            x = random_element(shape, rng)
+            assert dm(psi)(x) == pytest.approx(psi(op(x)), abs=1e-11)
+            assert np.max(np.abs(dm(psi).vec() - dm.matrix @ psi.vec())) \
+                <= 1e-13
+        assert not dm.matrix.flags.writeable
 
 
 def test_compose_and_power():

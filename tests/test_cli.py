@@ -4,6 +4,7 @@ import pytest
 
 from cstar_mixing import MethodDisagreement, __version__
 from cstar_mixing import cli
+from cstar_mixing.config import FIELD_TYPES
 
 
 def run(argv):
@@ -82,11 +83,19 @@ def test_bad_set_flag_is_a_validation_error(tmp_path, capsys):
     ("exact_power_n=24", "power horizon"),
     ("exact_power_n=1", "exact_power_n"),
     ("exact_power_n=24", "exact_power_n"),
+    ("tol_spectral=nan", "tol_spectral"),
+    ("tol_spectral=inf", "tol_spectral"),
+    ("tol_cluster=-1", "tol_cluster"),
+    ("estimator_abs=-1e-3", "estimator_abs"),
+    ("dyadic_factor=0", "dyadic_factor"),
+    ("dyadic_factor=1.5", "dyadic_factor"),
 ])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_out_of_range_config_exits_2(tmp_path, capsys, setting, named, source):
-    # horizons and counts the estimators cannot run with are bad input,
-    # whether they come from --set or from a system file's config section
+    # horizons and counts the estimators cannot run with, and tolerances
+    # that are negative, infinite or NaN, are bad input, whether they come
+    # from --set or from a system file's config section (where json writes
+    # the literals NaN and Infinity, which json.loads reads back)
     if source == "flag":
         argv = ["example", "1", "--d", "4", "--out", str(tmp_path),
                 "--set", setting]
@@ -97,7 +106,7 @@ def test_out_of_range_config_exits_2(tmp_path, capsys, setting, named, source):
             "algebra": {"blocks": [1, 1]},
             "operator": {"kind": "stochastic",
                          "data": [[0.7, 0.3], [0.4, 0.6]]},
-            "config": {name: int(value)},
+            "config": {name: FIELD_TYPES[name](value)},
         }))
         argv = ["classify", str(path)]
     assert run(argv) == 2

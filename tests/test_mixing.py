@@ -720,10 +720,16 @@ def _one_count_shifted(real):
     return run
 
 
-def _one_column_short(real):
-    """A range of T - id one dimension short of the true one."""
+def _fixed_space_grown(real):
+    """Spectral data whose SVD fixed-space dimension is off by one: the
+    rank route's source."""
+    import dataclasses
+
     def run(*args, **kwargs):
-        return real(*args, **kwargs)[:, 1:]
+        data = real(*args, **kwargs)
+        summary = dataclasses.replace(
+            data.summary, fixed_space_dim=data.summary.fixed_space_dim + 1)
+        return dataclasses.replace(data, summary=summary)
     return run
 
 
@@ -739,7 +745,7 @@ def _state_doubled(real):
     ("check_ergodic", "_eq1_estimator", _flipped),
     ("check_strictly_ergodic", "_spectral_data", _one_count_shifted),
     ("check_strictly_ergodic", "_cesaro_norm_estimator", _flipped),
-    ("check_strictly_ergodic", "range_of_defect", _one_column_short),
+    ("check_strictly_ergodic", "_spectral_data", _fixed_space_grown),
     ("check_strictly_ergodic", "invariant_states", _state_doubled),
     ("check_weakly_mixing", "_eq2_estimator", _flipped),
     ("check_strictly_weak_mixing", "_mean_norm_estimator", _flipped),

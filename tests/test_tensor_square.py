@@ -256,3 +256,29 @@ def test_classify_runs_one_svd_and_no_eigensolve_on_the_tensor_square(
     halves = [s for s in shapes["svd"]
               if s[-2:] in {(d * (d + 1) // 2,) * 2, (d * (d - 1) // 2,) * 2}]
     assert sorted(halves) == [(d * (d - 1) // 2,) * 2, (d * (d + 1) // 2,) * 2]
+
+
+@pytest.mark.parametrize("system", [
+    pytest.param(_system(random_unital_cp(AlgebraShape([3]), 2, seed=21)),
+                 id="random3-kraus2"),
+    pytest.param(example2(12, 5)[0], id="example2")])
+def test_classify_reads_no_dual_matrix_and_no_range_basis(system, monkeypatch):
+    # psi . T is one row product with M everywhere (DualMap.__call__), and
+    # the rank route reads the fixed-space dimension of the one SVD, so
+    # neither the D^2-entry dual matrix nor the range columns are built
+    import cstar_mixing
+    from cstar_mixing import channel, spectral
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("read on the classify path")
+
+    monkeypatch.setattr(channel.DualMap, "matrix", property(forbidden))
+    for module in (cstar_mixing, spectral, mixing):
+        if hasattr(module, "range_of_defect"):
+            monkeypatch.setattr(module, "range_of_defect", forbidden)
+    report = classify(system)
+    assert all(isinstance(v, bool) for v in report.verdicts.values())
+    # verify trials count an error as a failed trial, so every one must pass
+    for name in cstar_mixing.THEOREM_NAMES:
+        record = cstar_mixing.verify_theorem(name, (2,), 4, seed=0)
+        assert record.passes == record.trials, (name, record.counterexample)
