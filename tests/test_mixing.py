@@ -745,7 +745,11 @@ def _state_doubled(real):
     ("check_ergodic", "_eq1_estimator", _flipped),
     ("check_strictly_ergodic", "_spectral_data", _one_count_shifted),
     ("check_strictly_ergodic", "_cesaro_norm_estimator", _flipped),
-    ("check_strictly_ergodic", "_spectral_data", _fixed_space_grown),
+    # The rank route, rank(T - id) = D - 1: its range-of-defect width is
+    # read as D - fixed_space_dim from the spectral data's one SVD.
+    pytest.param("check_strictly_ergodic", "_spectral_data",
+                 _fixed_space_grown,
+                 id="check_strictly_ergodic-range_of_defect-_fixed_space_grown"),
     ("check_strictly_ergodic", "invariant_states", _state_doubled),
     ("check_weakly_mixing", "_eq2_estimator", _flipped),
     ("check_strictly_weak_mixing", "_mean_norm_estimator", _flipped),
