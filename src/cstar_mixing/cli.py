@@ -57,7 +57,10 @@ PROBE_LABEL = "empirical evidence, not a mathematical answer"
 
 def _config_from_flags(args: argparse.Namespace) -> tuple[Config, dict]:
     """DEFAULT plus --tol-spectral / --set overrides; returns them as a dict
-    too so they can be re-applied on top of a file's own config section."""
+    too so they can be re-applied on top of a file's own config section.
+    A negative --seed is rejected here, before any generator is seeded."""
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     overrides: dict = {}
     for item in args.set or ():
         name, sep, value = item.partition("=")

@@ -3,9 +3,9 @@
 One frozen dataclass holds every numeric knob in the package so that reports
 can embed the exact configuration they were produced under. Defaults are the
 contract values; anything can be overridden per call via ``replace``.
-Horizons and counts the estimators cannot run with, float fields that are
-negative, infinite or NaN, and a ``dyadic_factor`` outside (0, 1] raise
-ValidationError.
+Horizons and counts the estimators cannot run with, a negative seed, float
+fields that are negative, infinite or NaN, and a ``dyadic_factor`` outside
+(0, 1] raise ValidationError.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class Config:
             raise ValidationError(
                 f"dyadic_factor must lie in (0, 1], got {self.dyadic_factor!r}")
         for name, low in (("estimator_n", 2), ("estimator_pairs", 1),
-                          ("dyadic_window", 1)):
+                          ("dyadic_window", 1), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ValidationError(
                     f"{name} must be at least {low}, got {getattr(self, name)}")

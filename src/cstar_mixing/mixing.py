@@ -28,6 +28,13 @@ which every probe's Frobenius norm is at most 1e-14, about 50 ulp: every
 later term is at most that floor, and the terms not walked count as the
 floor. Its trace records the horizon walked as ``floor_step`` (None when
 the floor is never reached) and the strides filled as ``flat_strides``.
+The norm of the Cesàro mean reads only each trailing window's maximum. It
+takes the norm of the window's first mean, the anchor i, exactly, and
+bounds each later mean by ||S_j / k_j|| <= (k_i / k_j) ||S_i / k_i|| +
+||S_j - S_i||_F / k_j, the Frobenius norm read off the real coordinates.
+A mean whose bound, widened by the relative slack 1e-9 and the floor, is
+still below the anchor's norm cannot be the maximum and is not
+eigen-solved; the maxima are the floats a read of every mean gives.
 
 Each property has one implementation, its public ``check_*``, which
 ``classify`` and the verifier's trials call. Inside a ``_sharing()`` scope,
@@ -491,19 +498,58 @@ def _norm_trace(sys: DynamicalSystem, config: Config, seed: int) -> tuple[bool, 
         sys, np.random.default_rng(seed), config))
 
 
+# Relative slack on a window mean's norm bound before it rules the mean out:
+# far above the rounding of the bound and of eigvalsh, far below its gap.
+_BOUND_SLACK = 1e-9
+
+
 def _cesaro_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
                            cfg: Config) -> tuple[bool, dict]:
-    """||(1/k) sum T^j x - phi(x) 1|| sampled on trailing windows at N/2, N."""
+    """||(1/k) sum T^j x - phi(x) 1|| sampled on trailing windows at N/2, N.
+
+    Only each window's maximum is read, so not every mean is eigen-solved.
+    The first mean of a window is its anchor i, with nu_i = ||S_i / k_i||
+    taken exactly. For a later mean j, S_j / k_j = (k_i / k_j) S_i / k_i +
+    (S_j - S_i) / k_j, and the operator norm is at most the Frobenius norm,
+    so ||S_j / k_j|| <= u_j = (k_i / k_j) nu_i + ||S_j - S_i||_F / k_j. The
+    Frobenius norm is the Euclidean norm of the layout's real coordinates,
+    which are over orthonormal bases. Mean j is moved out and eigen-solved
+    only when u_j (1 + ``_BOUND_SLACK``) + ``_NORM_FLOOR`` >= nu_i; a mean
+    ruled out would have a norm below nu_i, so each window maximum is the
+    float a read of all its means gives. Where nu_i is 0 nothing is ruled
+    out.
+    """
     xs = _random_probe_elements(sys, rng, cfg)
     x0 = _centered_columns(sys, xs)
     n = cfg.estimator_n
     w = min(cfg.dyadic_window, n // 2)
     ks, layout, sums = _orbit_sums(sys.operator, x0, n, w)
-    # the 2w window means, moved out together for one norm computation
-    means = layout.columns_out(sums[:, -2 * w:]) / ks[-2 * w:, None]
-    norms = hermitian_operator_norms(sys.shape, means.transpose(1, 2, 0))
-    half = norms[:w].max(axis=0)
-    full = norms[w:].max(axis=0)
+    da, _, m, db = sums.shape
+    # the 2w window means; column c of flat is mean c // m of probe c % m
+    windows = sums[:, -2 * w:].reshape(da, 2, w, m, db)
+    flat = windows.reshape(da, 2 * w * m, db)
+    lengths = ks[-2 * w:]
+
+    def norms_at(cols: np.ndarray) -> np.ndarray:
+        vecs = layout.columns_out(np.take(flat, cols, axis=1))
+        return hermitian_operator_norms(sys.shape, (vecs / lengths[cols // m]).T)
+
+    norms = np.zeros(2 * w * m)         # a mean ruled out stays at 0
+    anchors = np.r_[:m, w * m:(w + 1) * m]
+    norms[anchors] = norms_at(anchors)
+    nu = norms[anchors].reshape(2, 1, m)
+    k = lengths.reshape(2, w, 1)
+    frobenius = np.linalg.norm(windows - windows[:, :, :1], axis=(0, 4))
+    bound = k[:, :1] / k * nu + frobenius / k
+    can_be_max = bound * (1 + _BOUND_SLACK) + _NORM_FLOOR >= nu
+    can_be_max[:, 0] = False            # the anchors are already read
+    # a window at a time: where nothing is ruled out, at most w m means
+    # are out of the layout at once, which keeps the memory peak down
+    for i, window in enumerate(can_be_max):
+        cols = i * w * m + np.flatnonzero(window)
+        if cols.size:
+            norms[cols] = norms_at(cols)
+    half, full = norms.reshape(2, w, m).max(axis=1)
     ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
     return ok, {"final": [float(v) for v in full],
                 "half": [float(v) for v in half]}

@@ -89,6 +89,7 @@ def test_bad_set_flag_is_a_validation_error(tmp_path, capsys):
     ("estimator_abs=-1e-3", "estimator_abs"),
     ("dyadic_factor=0", "dyadic_factor"),
     ("dyadic_factor=1.5", "dyadic_factor"),
+    ("seed=-1", "seed"),
 ])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_out_of_range_config_exits_2(tmp_path, capsys, setting, named, source):
@@ -113,6 +114,18 @@ def test_out_of_range_config_exits_2(tmp_path, capsys, setting, named, source):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "1", "--d", "4"],
+    ["verify", "thm_3_2", "--shape", "2", "--trials", "2"],
+])
+def test_negative_seed_exits_2(tmp_path, capsys, argv):
+    assert run(argv + ["--seed", "-1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "--seed" in err and "-1" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_invalid_stochastic_file_exits_2(tmp_path, capsys):

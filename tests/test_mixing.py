@@ -397,6 +397,87 @@ def test_cesaro_norm_estimator_matches_running_means():
     assert np.allclose(wit["final"], np.max(means[56:64], axis=0), atol=1e-12)
 
 
+def _all_window_maxima(system, seed):
+    """The window maxima read off all 2w means by one norm call."""
+    from cstar_mixing.orbit import _orbit_sums
+    x0 = mixing._centered_columns(system, mixing._random_probe_elements(
+        system, np.random.default_rng(seed), DEFAULT))
+    n = DEFAULT.estimator_n
+    w = DEFAULT.dyadic_window
+    ks, layout, sums = _orbit_sums(system.operator, x0, n, w)
+    means = layout.columns_out(sums[:, -2 * w:]) / ks[-2 * w:, None]
+    norms = mixing.hermitian_operator_norms(system.shape,
+                                            means.transpose(1, 2, 0))
+    return norms[:w].max(axis=0), norms[w:].max(axis=0)
+
+
+def _square_of(shape, kraus_count, seed=0):
+    return tensor_system(sys_for(random_unital_cp(AlgebraShape(shape),
+                                                  kraus_count, seed=seed)))
+
+
+WINDOW_SYSTEMS = {
+    "primitive_square": lambda: _square_of([4], 2),
+    "unitary": lambda: sys_for(random_unital_cp(AlgebraShape([3]), 1, seed=0)),
+    "unitary_square": lambda: _square_of([3], 1),
+    "commutative_square": lambda: tensor_system(example2(12, 5)[0]),
+    "blocks_2_3_square": lambda: _square_of([2, 3], 3),
+    "zero_probes": lambda: sys_for(identity_channel(AlgebraShape([1]))),
+}
+
+
+@pytest.mark.parametrize("kind", WINDOW_SYSTEMS)
+def test_window_maxima_equal_a_read_of_every_mean(kind):
+    # the means ruled out by the Frobenius bound cannot hold the maximum, so
+    # the maxima are the very floats a read of all 2w means gives
+    system = WINDOW_SYSTEMS[kind]()
+    half, full = _all_window_maxima(system, 3)
+    _, wit = mixing._cesaro_norm_estimator(system, np.random.default_rng(3),
+                                           DEFAULT)
+    assert np.array_equal(wit["half"], half)
+    assert np.array_equal(wit["final"], full)
+
+
+@pytest.mark.parametrize("kraus_count", [2, 1])
+def test_window_means_eigen_solved(monkeypatch, kraus_count):
+    # on a primitive square every later mean is ruled out by its anchor's
+    # bound, so 2 m means are eigen-solved; a unitary square falls back to
+    # at most all 2 w m of them
+    system = _square_of([4], kraus_count)
+    m, w = DEFAULT.estimator_pairs, DEFAULT.dyadic_window
+    real = mixing.hermitian_operator_norms
+    evaluated = []
+
+    def counted(shape, stacked):
+        evaluated.append(stacked.size // stacked.shape[-1])
+        return real(shape, stacked)
+    monkeypatch.setattr(mixing, "hermitian_operator_norms", counted)
+    mixing._cesaro_norm_estimator(system, np.random.default_rng(0), DEFAULT)
+    # the first call scales the m probes to unit norm, the next reads the
+    # two anchors per probe
+    probes, anchors, *rest = evaluated
+    assert probes == m and anchors == 2 * m
+    if kraus_count > 1:
+        assert rest == []
+    else:
+        assert anchors + sum(rest) <= 2 * w * m
+
+
+@pytest.mark.parametrize("system", [
+    lambda: sys_for(random_unital_cp(AlgebraShape([2, 3]), 2, seed=1)),
+    lambda: _square_of([4], 2),
+    lambda: _square_of([2, 3], 2),
+])
+def test_layout_coordinates_keep_the_frobenius_norm(system):
+    # the window bound reads ||S_j - S_i||_F off the real coordinates: the
+    # bases, and products of them for a square, are orthonormal
+    system = system()
+    x = _random_hermitian_vecs(system.shape, np.random.default_rng(4), 3).T
+    coords = orbit._OrbitLayout.of(system.operator).columns_in(x)
+    np.testing.assert_allclose(np.linalg.norm(coords, axis=(0, 2)),
+                               np.linalg.norm(x, axis=0), rtol=1e-13)
+
+
 def test_correlation_running_matches_step_by_step():
     from cstar_mixing.mixing import _correlation_running
     op = random_unital_cp(AlgebraShape([2]), 3, seed=8)
