@@ -30,7 +30,6 @@ from .algebra import (
     _identity_vec,
     _side_classes,
     functional_norm,
-    hermitian_basis,
     jordan_decompose,
     real_form,
     tensor_permutation,
@@ -366,19 +365,18 @@ def canonical_invariant_state(op: MarkovOperator, config: Config = DEFAULT) -> F
     return psi * (1.0 / total)
 
 
-def _candidate_states(op: MarkovOperator, null: np.ndarray,
+def _candidate_states(op: MarkovOperator, rows: np.ndarray,
                       config: Config) -> Iterator[Functional]:
     """The canonical state, then the normalized positive Jordan parts of the
-    fixed Hermitian functionals whose pairing rows are the columns of
-    ``null``, then their negative parts, produced on demand. The positive
-    parts of a basis are mostly independent, while a negative part often
-    repeats one already taken (h = p - q and h' = p' - q share q), so the
-    negative parts come last."""
+    Hermitian parts of the fixed functionals with pairing rows ``rows``,
+    then their negative parts, produced on demand. Real parts come before
+    imaginary ones, which often repeat them, and a negative part often
+    repeats one already taken (h = p - q and h' = p' - q share q)."""
     yield canonical_invariant_state(op, config)
+    pairs = [Functional.from_row(op.shape, row).hermitian_parts()
+             for row in rows]
     negatives = []
-    for idx in range(null.shape[1]):
-        # the rows are Hermitian up to rounding: keep the Hermitian part
-        h = Functional.from_row(op.shape, null[:, idx]).hermitian_parts()[0]
+    for h in [h for h, _ in pairs] + [h for _, h in pairs]:
         if functional_norm(h) < 1e-12:
             continue
         hp, hm = jordan_decompose(h, tol=1e-8)
@@ -399,36 +397,37 @@ def invariant_states(op: MarkovOperator, config: Config = DEFAULT) -> list[Funct
     """States spanning the fixed states of the dual map.
 
     The dual acts on pairing rows as r -> r @ M, so the fixed functionals
-    at eigenvalue 1 have as rows the left null vectors of M - I, read from
-    its memoized SVD as conj(U[:, s <= cut]) with the cut at
-    ``tol_invariant_state``. That SVD runs on T's real form, so these rows
-    are Hermitian functionals, and the positive Jordan parts of fixed
-    Hermitian functionals are fixed for positive unital maps, which turns
-    a fixed-space basis into a spanning family of invariant states. Returns
-    exactly one state iff the fixed space is one-dimensional. Singular
-    values within a factor 10 of the cut raise NumericalDegeneracy.
+    have as rows the left null vectors of M - I. Their number k is read
+    from the memoized singular values of M - I, cut at
+    ``tol_invariant_state``; singular values within a factor 10 of the cut
+    raise NumericalDegeneracy. They are spanned by the rows of the Cesàro
+    factor Y (P = X Y, Y M = Y). T preserves Hermiticity, so the Hermitian
+    parts of a fixed functional are fixed, and so are the positive Jordan
+    parts of a fixed Hermitian functional for positive unital maps: the
+    rows give a spanning family of invariant states. Returns exactly one
+    state iff the fixed space is one-dimensional.
     """
     from .spectral import _cut, _spectral_data
-    defect = _spectral_data(op, config).defect
-    s = defect.s
+    data = _spectral_data(op, config)
+    s = data.defect
     cut = _cut(s, config.tol_invariant_state)
     ambiguous = [x for x in s if cut / 10.0 < x < cut * 10.0]
     if ambiguous:
         raise NumericalDegeneracy(
             f"singular values {ambiguous} straddle the rank cut {cut:.1e}")
-    null = np.conj(defect.columns(s <= cut))
-    k = null.shape[1]
+    k = int(np.sum(s <= cut))
     if k == 0:
         raise NumericalDegeneracy("no fixed functional found for a unital map")
+    rows = data.cesaro_factors()[1]
     dm = dual(op)
 
     # keep candidates that really are invariant states, pruned to an
     # independent set spanning the fixed Hermitian functionals; candidates
     # past the k-th state are never built
     states: list[Functional] = []
-    # rows: an orthonormal basis of the span of the states kept
+    # ortho's rows: an orthonormal basis of the span of the states kept
     ortho = np.empty((0, op.dim), dtype=complex)
-    for psi in _candidate_states(op, null, config):
+    for psi in _candidate_states(op, rows, config):
         if not psi.is_state(tol=1e-8):
             continue
         if functional_norm(dm(psi) - psi) > config.tol_invariant_state * 10:

@@ -907,6 +907,12 @@ def _enforce_hierarchy(verdicts: dict) -> None:
             f"in finite dimension")
 
 
+def _check_seed(seed: int) -> None:
+    """ValidationError for a negative seed, before any generator is seeded."""
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+
+
 def classify(sys: DynamicalSystem, config: Config = DEFAULT,
              seed: int = 0) -> MixingReport:
     """Run every property check and assemble the full report.
@@ -920,6 +926,7 @@ def classify(sys: DynamicalSystem, config: Config = DEFAULT,
     once (see the module docstring) and dropped on return or raise; nothing
     of them is kept on the system.
     """
+    _check_seed(seed)
     verdicts: dict = {}
     witnesses: dict = {}
     agreement: dict = {}
@@ -1055,6 +1062,7 @@ def verify_theorem(name: str, shape, trials: int, seed: int = 0,
             f"unknown theorem {name!r}; valid names: {', '.join(THEOREM_NAMES)}")
     if trials < 1:
         raise ValidationError("trials must be at least 1")
+    _check_seed(seed)
     shape = shape if isinstance(shape, AlgebraShape) else AlgebraShape(shape)
     fn = _TRIALS[name]
 
@@ -1146,6 +1154,7 @@ def probe_problem1(shape, trials: int, seed: int = 0,
     (non-faithful invariant states) when the shape is a single block of
     size at least 2. Per-trial spectral verdicts are all recorded.
     """
+    _check_seed(seed)
     shape = shape if isinstance(shape, AlgebraShape) else AlgebraShape(shape)
     cornered = len(shape.blocks) == 1 and shape.blocks[0] >= 2
     verdicts = []

@@ -20,8 +20,9 @@ forms) the real form is kron(R, R), which commutes with the swap of its
 factors; its SVD splits into two real SVDs of the swap-symmetric and
 -antisymmetric halves, of sides D(D+1)/2 and D(D-1)/2. A product of two
 different factors takes one real SVD of kron(R_S, R_R) - I. Only the
-columns of U that ``range_of_defect`` and ``invariant_states`` read are
-mapped back to vecs.
+singular values are kept: they give the fixed-space dimension and the
+invariant-state count, and the fixed functionals themselves are the rows
+of the Cesàro factor Y.
 
 A peripheral Jordan block is a hard error throughout. Positive unital maps
 are power-bounded, so a defective peripheral cluster proves the input is not
@@ -111,52 +112,16 @@ class SpectralSummary:
 
 
 @dataclass(frozen=True, eq=False)
-class _Defect:
-    """The SVD of M - I, taken on T's real form.
-
-    In the real coordinates of its ``_OrbitLayout``, M = W R W* with W
-    unitary and R real, so R - I = U diag(s) V^T gives M - I = (W U)
-    diag(s) (W V)*, with the same singular values. R - I is block-diagonal
-    in an orthogonal basis: one block for T or for a product of two
-    different factors, and for T (x) T the swap-symmetric and
-    -antisymmetric halves of kron(R, R) - I. ``parts`` holds each block's
-    real U with its ``lift`` to layout coordinates (None: the block is the
-    layout), and ``order`` the sorting of their concatenated singular
-    values into ``s``. Only the columns of U a caller asks for are mapped
-    to vecs.
-    """
-
-    s: np.ndarray                   # descending, read-only
-    layout: _OrbitLayout
-    parts: tuple[tuple[np.ndarray, object], ...]
-    order: np.ndarray
-
-    def columns(self, keep: np.ndarray) -> np.ndarray:
-        """The columns U[:, keep] of M - I's U as vecs, (D, k), for a mask
-        ``keep`` over ``s``."""
-        picked = self.order[keep]
-        da, db = self.layout.sides
-        out = np.empty((da * db, picked.size))
-        start = 0
-        for u, lift in self.parts:
-            mine = (picked >= start) & (picked < start + u.shape[1])
-            block = u[:, picked[mine] - start]
-            out[:, mine] = block if lift is None else lift(block)
-            start += u.shape[1]
-        return self.layout.columns_out(
-            out.reshape(da, db, -1).transpose(0, 2, 1))
-
-
-@dataclass(frozen=True, eq=False)
 class _SpectralData:
     """All the spectral layer knows of one operator under one ``Config``.
 
-    Every array is read-only. ``defect`` is the SVD of M - I, taken on the
-    operator's real form (``_defect_svd``). The rest comes from one complex
-    Schur form of M with the eigenvalue-1 cluster sorted to the front
-    (``schur``, with the index of each diagonal entry's cluster in
-    ``labels``), or, for a product S (x) R made by ``channel.tensor``, from
-    the data of S and R (``schur`` and ``labels`` are then None).
+    Every array is read-only. ``defect`` holds the singular values of
+    M - I, descending, taken on the operator's real form (``_defect_svd``).
+    The rest comes from one complex Schur form of M with the eigenvalue-1
+    cluster sorted to the front (``schur``, with the index of each diagonal
+    entry's cluster in ``labels``), or, for a product S (x) R made by
+    ``channel.tensor``, from the data of S and R (``schur`` and ``labels``
+    are then None).
     """
 
     summary: SpectralSummary
@@ -164,7 +129,7 @@ class _SpectralData:
     # (X, Y) with X @ Y the Cesàro projector, X of shape (D, one_count);
     # None: Jordan block at 1
     factors: tuple[np.ndarray, np.ndarray] | None
-    defect: _Defect
+    defect: np.ndarray
     schur: tuple[np.ndarray, np.ndarray] | None = field(default=None,
                                                         repr=False)
     labels: np.ndarray | None = field(default=None, repr=False)
@@ -224,58 +189,42 @@ def _spectral_data(op: MarkovOperator, config: Config) -> _SpectralData:
     return data
 
 
-def _swap_halves(r: np.ndarray) -> list[tuple[np.ndarray, object]]:
-    """kron(r, r) on its swap-symmetric and -antisymmetric subspaces, as
-    (matrix, lift) pairs; kron(r, r) commutes with the swap of its factors,
-    so it is block-diagonal in their orthonormal bases e_ii and
-    (e_ij + e_ji)/sqrt(2), i < j, and (e_ij - e_ji)/sqrt(2), i < j. The
-    blocks have sides d(d+1)/2 and d(d-1)/2, their entries are
-    r_ik r_jl +- r_il r_jk (rescaled where i = j or k = l), and ``lift``
-    maps a block's coordinate columns to Kronecker-order ones."""
-    d = r.shape[0]
+def _swap_halves(r: np.ndarray) -> list[np.ndarray]:
+    """kron(r, r) on its swap-symmetric and -antisymmetric subspaces;
+    kron(r, r) commutes with the swap of its factors, so it is
+    block-diagonal in their orthonormal bases e_ii and (e_ij + e_ji)/sqrt(2),
+    i < j, and (e_ij - e_ji)/sqrt(2), i < j. The blocks have sides d(d+1)/2
+    and d(d-1)/2, and their entries are r_ik r_jl +- r_il r_jk (rescaled
+    where i = j or k = l)."""
     halves = []
     for sign, diagonal in ((1.0, 0), (-1.0, 1)):
-        i, j = np.triu_indices(d, diagonal)
+        i, j = np.triu_indices(r.shape[0], diagonal)
         w = np.where(i == j, _HALF_ROOT, 1.0)
-        block = (r[i][:, i] * r[j][:, j] + sign * r[i][:, j] * r[j][:, i]) \
-            * np.outer(w, w)
-        v = np.where(i == j, 1.0, _HALF_ROOT)[:, None]
-
-        def lift(u, i=i, j=j, v=v, sign=sign):
-            c = np.zeros((d, d, u.shape[1]))
-            c[i, j] = v * u
-            c[j, i] = sign * v * u
-            return c.reshape(d * d, -1)
-        halves.append((block, lift))
+        halves.append((r[i][:, i] * r[j][:, j] + sign * r[i][:, j] * r[j][:, i])
+                      * np.outer(w, w))
     return halves
 
 
-def _defect_svd(op: MarkovOperator, config: Config) -> tuple[_Defect, int]:
-    """The ``_Defect`` of op and D - rank(M - I): real SVDs of the blocks of
-    R - I, R the real matrix of the operator's ``_OrbitLayout``: R itself,
+def _defect_svd(op: MarkovOperator, config: Config) -> tuple[np.ndarray, int]:
+    """The singular values of M - I, descending and read-only, and
+    D - rank(M - I): real SVDs of the blocks of R - I, R the real matrix of
+    the operator's ``_OrbitLayout`` (M = W R W* with W unitary): R itself,
     kron of two different factors', or the two swap halves of T (x) T's."""
     layout = _OrbitLayout.of(op)
     if layout.b is None:
-        blocks = [(layout.a, None)]
+        blocks = [layout.a]
     elif layout.b is layout.a:
         blocks = _swap_halves(layout.a)
     else:
-        blocks = [(np.kron(layout.a, layout.b), None)]
-    parts, values = [], []
-    for r, lift in blocks:
-        try:
-            u, s, _ = np.linalg.svd(r - np.eye(r.shape[0]))
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverFailure(f"SVD of M - I failed: {exc}") from exc
-        u.setflags(write=False)
-        parts.append((u, lift))
-        values.append(s)
-    s = np.concatenate(values)
-    order = np.argsort(-s, kind="stable")
-    s = s[order]
+        blocks = [np.kron(layout.a, layout.b)]
+    try:
+        s = np.concatenate([np.linalg.svd(r - np.eye(r.shape[0]),
+                                          compute_uv=False) for r in blocks])
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"SVD of M - I failed: {exc}") from exc
+    s = -np.sort(-s)
     s.setflags(write=False)
-    fixed = op.dim - int(np.sum(s > _cut(s, config.tol_rank)))
-    return _Defect(s, layout, tuple(parts), order), fixed
+    return s, op.dim - int(np.sum(s > _cut(s, config.tol_rank)))
 
 
 def _summary(eigs: np.ndarray, clusters: list, fixed: int, defective: bool,
@@ -507,10 +456,13 @@ def power_limit(op: MarkovOperator, config: Config = DEFAULT) -> PowerLimit:
 def range_of_defect(op: MarkovOperator, config: Config = DEFAULT) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of T - id.
 
-    The left singular vectors U[:, s > cut] of the memoized SVD of M - I,
-    cut at ``tol_rank``. Its width is D minus the fixed-space dimension;
-    strict ergodicity shows up as width exactly D - 1.
+    The left singular vectors U[:, s > cut] of an SVD of M - I taken on each
+    call, cut at ``tol_rank`` as the fixed-space dimension is. Its width is
+    D minus the fixed-space dimension; strict ergodicity shows up as width
+    exactly D - 1.
     """
-    s = _spectral_data(op, config).defect.s
-    return _spectral_data(op, config).defect.columns(
-        s > _cut(s, config.tol_rank))
+    try:
+        u, s, _ = np.linalg.svd(op.matrix - np.eye(op.dim))
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverFailure(f"SVD of M - I failed: {exc}") from exc
+    return u[:, s > _cut(s, config.tol_rank)]

@@ -198,6 +198,21 @@ def test_verify_theorem_rejects_bad_input():
         verify_theorem("thm_3_2", [2], trials=0)
 
 
+@pytest.mark.parametrize("name", ["classify", "verify_theorem",
+                                  "probe_problem1"])
+def test_a_negative_seed_is_rejected_before_any_generator(name, monkeypatch):
+    system = chain_system()
+    run = {"classify": lambda: classify(system, seed=-1),
+           "verify_theorem": lambda: verify_theorem("thm_3_2", [2], 1, seed=-1),
+           "probe_problem1": lambda: probe_problem1([2], 1, seed=-1)}[name]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a generator was seeded")
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    with pytest.raises(ValidationError, match="seed"):
+        run()
+
+
 def test_probe_problem1_finds_nothing_and_is_deterministic():
     a = probe_problem1([2], trials=12, seed=0)
     b = probe_problem1([2], trials=12, seed=0)

@@ -19,9 +19,13 @@ from cstar_mixing import (
     canonical_invariant_state,
     cesaro_projector_spectral,
     classify,
+    dual,
     example2,
     from_kraus,
     from_superoperator,
+    functional_norm,
+    identity_channel,
+    invariant_states,
     random_unital_cp,
     spectrum,
     tensor,
@@ -161,29 +165,21 @@ def _products():
     yield pytest.param(tensor(left, right), id="two-factors")
 
 
-def _projector(columns):
-    q, _ = np.linalg.qr(columns)
-    return q @ q.conj().T
+PRODUCTS = list(_products())
 
 
-@pytest.mark.parametrize("product", list(_products()))
+@pytest.mark.parametrize("product", PRODUCTS)
 def test_real_form_matches_the_complex_matrix(product):
     # T is real over the orthonormal Hermitian basis H of its shape
     for op in (*product.factors, product):
         form = hermitian_coordinates(op.shape, pairing_coordinates(
             op.shape, op.matrix, axis=1))
         assert np.max(np.abs(form.imag)) <= 1e-12
-    # the SVD of M - I, taken on the real form (two swap halves for a
-    # square), against the dense complex SVD
-    eye = np.eye(product.dim)
-    u, s, _ = np.linalg.svd(product.matrix - eye)
+    # the singular values of M - I, taken on the real form (two swap halves
+    # for a square), against the dense complex SVD
+    s = np.linalg.svd(product.matrix - np.eye(product.dim), compute_uv=False)
     defect = _spectral_data(product, DEFAULT).defect
-    assert np.max(np.abs(defect.s - s)) <= 1e-12 * max(s[0], 1.0)
-    cut = DEFAULT.tol_rank * max(s[0], 1.0)
-    for keep in (s > cut, s <= cut):
-        if keep.any():
-            assert np.max(np.abs(_projector(defect.columns(keep))
-                                 - _projector(u[:, keep]))) <= 1e-10
+    assert np.max(np.abs(defect - s)) <= 1e-12 * max(s[0], 1.0)
     # 16 real orbit steps of Hermitian columns against the matrix
     x = x0 = _random_hermitian_vecs(product.shape,
                                     np.random.default_rng(6), 3).T
@@ -193,6 +189,36 @@ def test_real_form_matches_the_complex_matrix(product):
         for t in range(steps):
             assert np.max(np.abs(got[:, 3 * t:3 * t + 3] - x)) <= 1e-12
             x = product.matrix @ x
+
+
+def _invariant_state_cases():
+    for param in PRODUCTS:
+        product = param.values[0]
+        left, right = product.factors
+        yield pytest.param(product, id=param.id)
+        yield pytest.param(left, id=f"{param.id}-left")
+        if right is not left:
+            yield pytest.param(right, id=f"{param.id}-right")
+    ident = identity_channel(AlgebraShape([2]))
+    yield pytest.param(ident, id="identity2")
+    yield pytest.param(tensor(ident, ident), id="identity2-square")
+
+
+@pytest.mark.parametrize("op", list(_invariant_state_cases()))
+def test_invariant_states_span_the_dense_null_space(op):
+    # the states come from the rows of the Cesàro factor Y, their count
+    # from the singular values of M - I; the oracle is the dense left null
+    # space of M - I
+    null = scipy.linalg.null_space((op.matrix - np.eye(op.dim)).T,
+                                   rcond=DEFAULT.tol_invariant_state)
+    states = invariant_states(op)
+    assert len(states) == null.shape[1]
+    for psi in states:
+        assert psi.is_state(tol=1e-8)
+        assert functional_norm(dual(op)(psi) - psi) \
+            <= 10 * DEFAULT.tol_invariant_state
+    rows = np.array([psi.row() for psi in states])
+    assert np.linalg.matrix_rank(rows, tol=1e-9) == len(states)
 
 
 def _assert_witnesses_close(got, want, path="witnesses"):
@@ -263,9 +289,11 @@ def test_classify_runs_one_svd_and_no_eigensolve_on_the_tensor_square(
                  id="random3-kraus2"),
     pytest.param(example2(12, 5)[0], id="example2")])
 def test_classify_reads_no_dual_matrix_and_no_range_basis(system, monkeypatch):
-    # psi . T is one row product with M everywhere (DualMap.__call__), and
-    # the rank route reads the fixed-space dimension of the one SVD, so
-    # neither the D^2-entry dual matrix nor the range columns are built
+    # psi . T is one row product with M everywhere (DualMap.__call__), the
+    # rank route reads the fixed-space dimension of the one SVD, and the
+    # fixed functionals come from the Cesàro factors, so neither the
+    # D^2-entry dual matrix nor the range columns nor any singular vectors
+    # are built
     import cstar_mixing
     from cstar_mixing import channel, spectral
 
@@ -276,9 +304,16 @@ def test_classify_reads_no_dual_matrix_and_no_range_basis(system, monkeypatch):
     for module in (cstar_mixing, spectral, mixing):
         if hasattr(module, "range_of_defect"):
             monkeypatch.setattr(module, "range_of_defect", forbidden)
+    real_svd, uv = np.linalg.svd, []
+
+    def svd(a, full_matrices=True, compute_uv=True, **kwargs):
+        uv.append(compute_uv)
+        return real_svd(a, full_matrices, compute_uv, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", svd)
     report = classify(system)
     assert all(isinstance(v, bool) for v in report.verdicts.values())
     # verify trials count an error as a failed trial, so every one must pass
     for name in cstar_mixing.THEOREM_NAMES:
         record = cstar_mixing.verify_theorem(name, (2,), 4, seed=0)
         assert record.passes == record.trials, (name, record.counterexample)
+    assert uv and not any(uv)
