@@ -619,22 +619,6 @@ def real_form(shape: AlgebraShape, matrix: np.ndarray) -> np.ndarray:
         shape, pairing_coordinates(shape, matrix, axis=1)).real)
 
 
-def product_pairing_matrix(psi: Functional) -> np.ndarray:
-    """Quadratic form Q with psi(y @ z) = vec(y)^T Q vec(z).
-
-    Block-diagonal; the block for sigma follows from
-    tr(sigma y z) = sum over p,q,r of sigma[p,q] y[q,r] z[r,p], and the
-    blocks of one side are written together.
-    """
-    shape = psi.shape
-    q = np.zeros((shape.dim, shape.dim), dtype=complex)
-    for n, idx in _side_classes(shape):
-        blk = np.einsum("rs,jpq->jrqps", np.eye(n), psi.vec()[idx])
-        span = idx[:, :1, :1] + np.arange(n * n)[:, None]
-        q[span, span.swapaxes(1, 2)] = blk.reshape(-1, n * n, n * n)
-    return q
-
-
 def _gaussian_vecs(shape: AlgebraShape, rng: np.random.Generator,
                    m: int) -> np.ndarray:
     """(m, D): the vecs of m complex Gaussian elements with standard normal

@@ -48,8 +48,8 @@ from .errors import (
     SingularNormalization,
 )
 
-PROVENANCES = ("explicit", "kraus", "stochastic")
 CLAIMS = ("verified_cp", "sampled_positive", "declared")
+_POSITIVITY_TRIALS = 64  # samples behind a "sampled_positive" claim
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,8 +153,8 @@ def from_superoperator(shape: AlgebraShape, matrix: np.ndarray,
     """Wrap an explicit superoperator matrix.
 
     The positivity claim is validated, not recorded blindly: "verified_cp"
-    runs the Choi test, "sampled_positive" runs the sampling check with the
-    configured trial count, "declared" is accepted as stated.
+    runs the Choi test, "sampled_positive" runs the sampling check on 64
+    random PSD elements drawn at seed 0, "declared" is accepted as stated.
     """
     if positivity_claim not in CLAIMS:
         raise ValueError(f"positivity_claim must be one of {CLAIMS}")
@@ -166,8 +166,7 @@ def from_superoperator(shape: AlgebraShape, matrix: np.ndarray,
             raise NotCompletelyPositive(
                 f"min Choi eigenvalue {verdict.min_choi_eigenvalue:.3e}")
     elif positivity_claim == "sampled_positive":
-        result = check_positive_sampled(op, config.positivity_trials,
-                                        seed=config.seed, config=config)
+        result = check_positive_sampled(op, _POSITIVITY_TRIALS, config=config)
         if not result.passed:
             raise NotPositive("sampled positivity check failed")
     return op

@@ -32,6 +32,7 @@ from .mixing import (
     verify_theorem,
 )
 from .models import (
+    _MAX_VOLUME,
     compatibility_residual,
     example1,
     example2,
@@ -249,6 +250,10 @@ def cmd_example(args: argparse.Namespace) -> int:
     if len(args.P) != 4:
         raise ValidationError(
             f"--P expects four row-major entries, got {len(args.P)}")
+    # the compatibility report compares volumes L and L - 1
+    if not 2 <= args.L <= _MAX_VOLUME:
+        raise ValidationError(
+            f"--L must lie in 2..{_MAX_VOLUME}, got {args.L}")
     P = [args.P[:2], args.P[2:]]
     k1, k2, rho1, rho2 = example3_channels(P, args.q)
     systems = {"K1": DynamicalSystem(k1, rho1), "K2": DynamicalSystem(k2, rho2)}

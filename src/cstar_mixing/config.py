@@ -3,9 +3,11 @@
 One frozen dataclass holds every numeric knob in the package so that reports
 can embed the exact configuration they were produced under. Defaults are the
 contract values; anything can be overridden per call via ``replace``.
-Horizons and counts the estimators cannot run with, a negative seed, float
-fields that are negative, infinite or NaN, and a ``dyadic_factor`` outside
-(0, 1] raise ValidationError.
+Horizons and counts the estimators cannot run with, float fields that are
+negative, infinite or NaN, and a ``dyadic_factor`` outside (0, 1] raise
+ValidationError. Seeds are not configuration: the estimators and ensembles
+take theirs from the ``seed=`` argument of ``classify``, ``verify_theorem``
+and ``probe_problem1`` (the command line's ``--seed``).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class Config:
     # positivity checks
     tol_choi: float = 1e-9              # min Choi eigenvalue floor for CP
     tol_positive_sample: float = 1e-8   # output-eigenvalue floor in sampling
-    positivity_trials: int = 64         # default sample count
 
     # spectral analysis
     tol_cluster: float = 1e-7           # eigenvalue clustering radius
@@ -46,10 +47,6 @@ class Config:
     exact_power_n: int = 1024           # dual-power horizon, 2**10
     exact_estimator_tol: float = 1e-6   # trace-norm residual bound at that horizon
 
-    # seed of from_superoperator's sampled-positivity check; the estimators
-    # take theirs from classify(seed=) and the command line's --seed
-    seed: int = 0
-
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
             v = getattr(self, f.name)
@@ -60,7 +57,7 @@ class Config:
             raise ValidationError(
                 f"dyadic_factor must lie in (0, 1], got {self.dyadic_factor!r}")
         for name, low in (("estimator_n", 2), ("estimator_pairs", 1),
-                          ("dyadic_window", 1), ("seed", 0)):
+                          ("dyadic_window", 1)):
             if getattr(self, name) < low:
                 raise ValidationError(
                     f"{name} must be at least {low}, got {getattr(self, name)}")
@@ -75,7 +72,7 @@ class Config:
         return dataclasses.replace(self, **overrides)
 
     def scaled(self, factor: float) -> "Config":
-        """Copy with every tolerance (not horizons/counts/seed) multiplied.
+        """Copy with every tolerance (not horizons or counts) multiplied.
 
         Used to re-verify candidate counterexamples under tighter settings.
         """

@@ -55,7 +55,7 @@ class NotCompletelyPositive(ValidationFailure):
 
 
 class NotPositive(ValidationFailure):
-    """A sampled_positive claim failed, or a computed density is not PSD."""
+    """A sampled_positive claim failed its sampled positivity check."""
 
 
 class RequiresCP(ValidationFailure):

@@ -913,6 +913,13 @@ def _check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
 
 
+def _check_ensemble(trials: int, seed: int) -> None:
+    """ValidationError for an empty ensemble or a negative seed."""
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
+    _check_seed(seed)
+
+
 def classify(sys: DynamicalSystem, config: Config = DEFAULT,
              seed: int = 0) -> MixingReport:
     """Run every property check and assemble the full report.
@@ -1060,9 +1067,7 @@ def verify_theorem(name: str, shape, trials: int, seed: int = 0,
     if name not in _TRIALS:
         raise UnknownTheorem(
             f"unknown theorem {name!r}; valid names: {', '.join(THEOREM_NAMES)}")
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
-    _check_seed(seed)
+    _check_ensemble(trials, seed)
     shape = shape if isinstance(shape, AlgebraShape) else AlgebraShape(shape)
     fn = _TRIALS[name]
 
@@ -1154,7 +1159,7 @@ def probe_problem1(shape, trials: int, seed: int = 0,
     (non-faithful invariant states) when the shape is a single block of
     size at least 2. Per-trial spectral verdicts are all recorded.
     """
-    _check_seed(seed)
+    _check_ensemble(trials, seed)
     shape = shape if isinstance(shape, AlgebraShape) else AlgebraShape(shape)
     cornered = len(shape.blocks) == 1 and shape.blocks[0] >= 2
     verdicts = []

@@ -40,6 +40,9 @@ __all__ = [
 # itself, independently of the user-facing tolerance configuration.
 _CHAIN_TOL = 1e-10
 
+# the largest chain volume: the volume-L state is a 2^L x 2^L density
+_MAX_VOLUME = 6
+
 
 def example1(d: int, config: Config = DEFAULT) -> DynamicalSystem:
     """Identical-rows stochastic map on d points.
@@ -160,7 +163,7 @@ def _site_code_digits(L: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def markov_state(op: MarkovOperator, rho0: Functional, L: int,
-                 config: Config = DEFAULT, max_volume: int = 6) -> Functional:
+                 config: Config = DEFAULT) -> Functional:
     """Finite-volume chain state phi(a_1 (x) ... (x) a_L) built by nesting
     the transfer operator: phi0(a_1 K(a_2 K(... K(a_L)...))).
 
@@ -170,8 +173,8 @@ def markov_state(op: MarkovOperator, rho0: Functional, L: int,
     """
     if op.shape != AlgebraShape([2]) or rho0.shape != op.shape:
         raise ShapeMismatch("chain states are built from a channel on one qubit")
-    if not 1 <= L <= max_volume:
-        raise ValidationError(f"volume L = {L} outside 1..{max_volume}")
+    if not 1 <= L <= _MAX_VOLUME:
+        raise ValidationError(f"volume L = {L} outside 1..{_MAX_VOLUME}")
     drift = functional_norm(dual(op)(rho0) - rho0)
     if drift > config.tol_invariant_state:
         raise NotInvariant(f"the single-site state drifts by {drift:.3e}")

@@ -394,8 +394,8 @@ class CesaroIterate:
     raw_mean: np.ndarray = field(repr=False)
 
 
-def cesaro_projector_iterative(op: MarkovOperator, n: int, tol: float,
-                               config: Config = DEFAULT) -> CesaroIterate:
+def cesaro_projector_iterative(op: MarkovOperator, n: int,
+                               tol: float) -> CesaroIterate:
     """Running mean of T^k by dyadic doubling, with extrapolation.
 
     The sums S_k of T^j over j < k come from ``orbit._orbit_sums``, the

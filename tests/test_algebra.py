@@ -14,7 +14,6 @@ from cstar_mixing.algebra import (
     jordan_decompose,
     operator_norm,
     operator_norms,
-    product_pairing_matrix,
     random_element,
     random_functional,
     random_hermitian_element,
@@ -157,17 +156,6 @@ def test_hermitian_basis_spans_selfadjoint():
         assert np.linalg.matrix_rank(mat) == shape.dim
         # the matrix is written directly; its columns are the basis, in order
         assert np.array_equal(mat, np.column_stack([b.vec() for b in basis]))
-
-
-def test_product_pairing_matrix():
-    rng = np.random.default_rng(21)
-    psi = random_functional(M12, rng)
-    q = product_pairing_matrix(psi)
-    for _ in range(10):
-        y = random_element(M12, rng)
-        z = random_element(M12, rng)
-        prod = AlgebraElement(M12, [a @ b for a, b in zip(y.blocks, z.blocks)])
-        assert y.vec() @ q @ z.vec() == pytest.approx(psi(prod), abs=1e-12)
 
 
 def test_tensor_pairing_is_multiplicative():

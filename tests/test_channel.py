@@ -31,6 +31,7 @@ from cstar_mixing.models import example2
 from cstar_mixing.errors import (
     NotCompletelyPositive,
     NotHermitianPreserving,
+    NotPositive,
     NotStochastic,
     NotUnital,
     RequiresCP,
@@ -254,6 +255,24 @@ def test_sampled_positivity_passes_for_cp():
     op = random_unital_cp(S2, 3, seed=5)
     result = check_positive_sampled(op, 32, seed=0)
     assert result.passed
+
+
+def test_sampled_positive_claim_accepts_a_cp_matrix():
+    op = random_unital_cp(AlgebraShape([3]), 3, seed=5)
+    wrapped = from_superoperator(op.shape, op.matrix,
+                                 positivity_claim="sampled_positive")
+    assert wrapped.positivity_claim == "sampled_positive"
+
+
+def test_sampled_positive_claim_rejects_a_non_positive_map():
+    # x -> (2/3) tr(x) 1 - x on M_3 is unital and Hermiticity-preserving,
+    # but a rank-one projector P goes to (2/3) 1 - P, with eigenvalue -1/3
+    shape = AlgebraShape([3])
+    one = np.eye(3).reshape(-1)
+    matrix = (2 / 3) * np.outer(one, one) - np.eye(9)
+    assert from_superoperator(shape, matrix).positivity_claim == "declared"
+    with pytest.raises(NotPositive, match="sampled positivity"):
+        from_superoperator(shape, matrix, positivity_claim="sampled_positive")
 
 
 def test_kraus_shape_mismatch():

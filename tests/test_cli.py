@@ -89,7 +89,6 @@ def test_bad_set_flag_is_a_validation_error(tmp_path, capsys):
     ("estimator_abs=-1e-3", "estimator_abs"),
     ("dyadic_factor=0", "dyadic_factor"),
     ("dyadic_factor=1.5", "dyadic_factor"),
-    ("seed=-1", "seed"),
 ])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_out_of_range_config_exits_2(tmp_path, capsys, setting, named, source):
@@ -114,6 +113,15 @@ def test_out_of_range_config_exits_2(tmp_path, capsys, setting, named, source):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert named in err
+
+
+def test_seed_is_not_a_config_field(tmp_path, capsys):
+    # the one seed is --seed; --set names configuration fields only
+    argv = ["example", "1", "--d", "4", "--out", str(tmp_path)]
+    assert run(argv + ["--set", "seed=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown config field" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -205,6 +213,15 @@ def test_probe_labels_findings_as_empirical(tmp_path, monkeypatch, capsys):
     assert "empirical evidence" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_probe_without_trials_exits_2(tmp_path, capsys, trials):
+    assert run(["probe-problem1", "--trials", trials,
+                "--out", str(tmp_path) + "/"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trials" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_example2_reports_the_witness(tmp_path, capsys):
     rc = run(["example", "2", "--d", "6", "--k", "1", "--out", str(tmp_path)])
     assert rc == 0
@@ -248,6 +265,15 @@ def test_example3_validates_p_length(tmp_path, capsys):
     rc = run(["example", "3", "--P", "0.5,0.5", "--out", str(tmp_path)])
     assert rc == 2
     assert "--P expects four" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("L", ["1", "7"])
+def test_example3_volume_out_of_range_exits_2(tmp_path, capsys, L):
+    # the compatibility report needs L >= 2; the chain state stops at 6
+    assert run(["example", "3", "--L", L, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--L" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag(capsys):

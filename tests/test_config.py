@@ -25,9 +25,3 @@ def test_short_horizons_are_accepted():
     # too short for the estimators to see much mixing, but not malformed
     for n in (2, 3):
         assert DEFAULT.replace(estimator_n=n).estimator_n == n
-
-
-def test_a_negative_seed_is_rejected():
-    # numpy's generators take no negative seed; the config says so first
-    with pytest.raises(ValidationError, match="seed"):
-        Config(seed=-1)

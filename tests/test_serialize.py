@@ -181,7 +181,10 @@ def test_matrix_to_json_uses_pairs_only_when_needed():
 
 def test_config_field_validation():
     base = system_to_dict(chain_system())
-    for unknown in ({"tol_spectrall": 1e-9}, {"tol_psd": 1e-10}):
+    # seeds are arguments, not configuration: a file that sets one is
+    # rejected like any other unknown field
+    for unknown in ({"tol_spectrall": 1e-9}, {"tol_psd": 1e-10},
+                    {"seed": 0}, {"positivity_trials": 64}):
         doc = dict(base, config=unknown)
         with pytest.raises(ParseError, match="unknown fields.*valid:"):
             system_from_dict(doc)
