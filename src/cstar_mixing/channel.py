@@ -315,9 +315,12 @@ def check_positive_sampled(op: MarkovOperator, trials: int, seed: int = 0,
 @dataclass(frozen=True, eq=False)
 class DualMap:
     """The map psi -> psi . T under the bilinear trace pairing: psi . T has
-    the pairing row psi.row() @ M. ``matrix`` is the same map on functional
-    vectorizations (stacked sigma blocks), K M^T K with K the blockwise
-    transpose permutation; it is built on its first read, read-only."""
+    the pairing row psi.row() @ M. For a product S (x) R made by ``tensor``
+    the row is formed from the factors, without M: moved to Kronecker order
+    by ``tensor_permutation`` and reshaped to X (D_S, D_R), it maps to
+    (M_S^T X) M_R. ``matrix`` is the same map on functional vectorizations
+    (stacked sigma blocks), K M^T K with K the blockwise transpose
+    permutation; it is built on its first read, read-only."""
 
     shape: AlgebraShape
     operator: MarkovOperator = field(repr=False)
@@ -325,7 +328,16 @@ class DualMap:
     def __call__(self, psi: Functional) -> Functional:
         if psi.shape != self.shape:
             raise ShapeMismatch(f"{self.shape} vs {psi.shape}")
-        return Functional.from_row(self.shape, psi.row() @ self.operator.matrix)
+        if self.operator.factors is None:
+            return Functional.from_row(self.shape,
+                                       psi.row() @ self.operator.matrix)
+        left, right = self.operator.factors
+        perm = tensor_permutation(left.shape, right.shape)
+        kron = np.empty(self.operator.dim, dtype=complex)
+        kron[perm] = psi.row()
+        x = kron.reshape(left.dim, right.dim)
+        row = ((left.matrix.T @ x) @ right.matrix).reshape(-1)[perm]
+        return Functional.from_row(self.shape, row)
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:

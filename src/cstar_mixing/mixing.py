@@ -18,16 +18,18 @@ give; phi(x_j) is taken by one dot per probe, as ``Functional.__call__``
 takes it, because a batched matrix-vector product rounds differently.
 Every T^k step comes from ``orbit``, in real arithmetic on the real
 coordinates of the Hermitian probes: orbit sums by dyadic doubling for the
-linear estimators, strided walks for those that read every step, and the
-squaring ladder for the power estimators. The mean of norms rests on the
-contraction of the operator norm by a unital positive map: along an orbit
-the norms never increase. A stride whose end norms agree to 1e-12 of its
-norm is therefore filled by interpolating between them, without an
-eigvalsh per step. The walk stops at the end of the first stride after
-which every probe's Frobenius norm is at most 1e-14, about 50 ulp: every
-later term is at most that floor, and the terms not walked count as the
-floor. Its trace records the horizon walked as ``floor_step`` (None when
-the floor is never reached) and the strides filled as ``flat_strides``.
+linear estimators, baby and giant steps for the correlation series, a
+strided walk for the mean of norms, and the squaring ladder for the power
+estimators. The mean of norms rests on the contraction of the operator norm
+by a unital positive map: along an orbit the norms never increase. A stride
+whose end norms agree to 1e-12 of its norm is therefore filled by
+interpolating between them, without an eigvalsh per step; the ends of up to
+8 strides are evaluated at once. The walk stops at the end of the first
+stride after which every probe's Frobenius norm is at most 1e-14, about 50
+ulp: every later term is at most that floor, and the terms not walked count
+as the floor. Its trace records the horizon walked as ``floor_step`` (None
+when the floor is never reached) and the strides filled as
+``flat_strides``.
 The norm of the Cesàro mean reads only each trailing window's maximum. It
 takes the norm of the window's first mean, the anchor i, exactly, and
 bounds each later mean by ||S_j / k_j|| <= (k_i / k_j) ||S_i / k_i|| +
@@ -106,6 +108,7 @@ from .errors import (
 from .orbit import (
     _dyadic_powers,
     _orbit,
+    _orbit_pairings,
     _orbit_sums,
     _OrbitLayout,
     _read_samples,
@@ -319,17 +322,10 @@ def _correlation_running(sys: DynamicalSystem, rows: np.ndarray,
                          consts: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
     """The correlation series a_k[j] = rows[j] . T^k x_j - consts[j] for
     every k < n, as an (n, m) array; columns of x0 are the probes. Only
-    ``_eq2`` needs every k; the Cesàro means of the linear estimators come
-    from ``_orbit_sums``."""
-    m = x0.shape[1]
-    s, layout, strides = _orbit(sys.operator, x0, n)
-    rows_wide = layout.rows_in(np.tile(rows, (s, 1)))
-    # one stride of s steps per row; row b of the (n/s, s*m) array reshapes
-    # to steps b*s .. b*s + s - 1, so the whole array reshapes to (n, m)
-    pairings = np.empty((n // s, s * m), dtype=complex)
-    for b, x in enumerate(strides):
-        pairings[b] = np.einsum("jab,ajb->j", rows_wide, x)
-    series = pairings.reshape(n, m)
+    ``_eq2`` needs every k, and takes them by ``_orbit_pairings``' baby and
+    giant steps; the Cesàro means of the linear estimators come from
+    ``_orbit_sums``."""
+    series = _orbit_pairings(sys.operator, rows, x0, n)
     series -= consts
     return series
 
@@ -423,6 +419,9 @@ _NORM_FLOOR = 1e-14
 # of those would still be walked step by step. A few draws (about 2% on
 # M_3, 8% on M_4) contract by up to 1.3e-11 per stride and are walked.
 _FLAT_STRIDE = 1e-12
+# Strides whose ends ``_orbit_norm_series`` moves out and evaluates in one
+# call. A stride block of the unitary M_4 orbit is 40 KB in the layout.
+_CHUNK = 8
 
 
 def _orbit_norm_series(sys: DynamicalSystem, x0: np.ndarray,
@@ -433,14 +432,11 @@ def _orbit_norm_series(sys: DynamicalSystem, x0: np.ndarray,
 
     A unital positive map is an operator-norm contraction (Russo-Dye), so
     each probe's norms never increase along the orbit, and the two ends of
-    a stride of ``_orbit`` bracket every norm inside it. The ends of each
-    stride are evaluated first; where every probe's ends agree to
-    ``_FLAT_STRIDE`` of its first norm, as on the isometric orbits of a
-    *-automorphism, the stride is filled by linear interpolation between
-    them, which is within that fraction of the true norms up to rounding.
-    flat_strides counts the strides so filled. Each other stride has all
-    its rows evaluated in one stacked call as it is walked, so at most one
-    stride of the orbit is held at a time.
+    a stride of ``_orbit`` bracket every norm inside it. The strides are
+    evaluated by ``_stride_norms`` a chunk at a time, so at most one chunk
+    of the orbit is held at once. A chunk doubles from one stride up to
+    ``_CHUNK`` while every stride is flat; the floor test below runs after
+    each stride, as it is walked.
 
     The orbit stops at the end of the first stride after which every
     column's Frobenius norm, an upper bound on its operator norm, is at most
@@ -452,25 +448,74 @@ def _orbit_norm_series(sys: DynamicalSystem, x0: np.ndarray,
     and the floor rest on that claim, as the Jordan-part argument of
     ``invariant_states`` does.
     """
-    d, m = x0.shape
+    m = x0.shape[1]
     s, layout, strides = _orbit(sys.operator, x0, n)
     norms = np.full((n, m), _NORM_FLOOR)
     floor_step, flat = None, 0
     ends = np.r_[:m, (s - 1) * m:s * m]
+    # the Euclidean norm of the layout's real coordinates is the Frobenius
+    # norm up to rounding (the bases are orthonormal), so a last row more
+    # than 1e-6 of the floor above it cannot pass the floor test; the test
+    # itself reads the moved-out row, and a stride that may pass it ends
+    # its chunk. The strides of a decaying orbit are evaluated one at a
+    # time.
+    near = (_NORM_FLOOR * (1 + 1e-6)) ** 2
+    chunk: list[tuple[int, np.ndarray]] = []
+    limit = 1
     for b, x in zip(range(0, n, s), strides):
-        # only the two ends of a flat stride move out of the layout
-        edge = layout.columns_out(x[:, ends]).T.reshape(2, m, d)
-        first, last = hermitian_operator_norms(sys.shape, edge)
-        if np.all(np.abs(first - last) <= _FLAT_STRIDE * first):
-            norms[b:b + s] = np.linspace(first, last, s)
-            flat += 1
-        else:
-            norms[b:b + s] = hermitian_operator_norms(
-                sys.shape, layout.columns_out(x).T.reshape(s, m, d))
-        if np.linalg.norm(edge[1], axis=1).max() <= _NORM_FLOOR:
+        chunk.append((b, x))
+        if len(chunk) < limit and b + s < n:
+            last = x[:, -m:]
+            if np.einsum("ajb,ajb->j", last, last).max() > near:
+                continue
+        filled, edges = _stride_norms(sys.shape, layout, chunk, ends, norms)
+        flat += filled
+        limit = min(2 * limit, _CHUNK) if filled == len(chunk) else 1
+        chunk.clear()
+        if np.linalg.norm(edges[-1, 1], axis=1).max() <= _NORM_FLOOR:
             floor_step = b + s
             break
     return norms, floor_step, flat
+
+
+def _stride_norms(shape: AlgebraShape, layout: _OrbitLayout, chunk: list,
+                  ends: np.ndarray,
+                  norms: np.ndarray) -> tuple[int, np.ndarray]:
+    """Write the norms of a chunk of strides (b, block) into rows b .. b + s
+    - 1 of ``norms``; return how many were filled, and the moved-out ends
+    as (strides, 2, m, D).
+
+    The ends of the chunk's strides move out of the layout and are
+    evaluated together. Where every probe's ends agree to ``_FLAT_STRIDE``
+    of its first norm, as on the isometric orbits of a *-automorphism, the
+    stride is filled by linear interpolation between them, which is within
+    that fraction of the true norms up to rounding; each other stride has
+    all its rows moved out and evaluated. The fills are np.linspace's
+    floats for each stride alone: linspace rounds differently when any
+    step of a call is 0, so strides with a zero step get a call of their
+    own.
+    """
+    m = len(ends) // 2
+    s = chunk[0][1].shape[1] // m
+    edges = layout.columns_out(np.concatenate(
+        [x[:, ends] for _, x in chunk], axis=1)).T.reshape(len(chunk), 2, m,
+                                                           -1)
+    first, last = hermitian_operator_norms(shape, edges).transpose(1, 0, 2)
+    flat = np.all(np.abs(first - last) <= _FLAT_STRIDE * first, axis=1)
+    for (b, x), filled in zip(chunk, flat):
+        if not filled:
+            norms[b:b + s] = hermitian_operator_norms(
+                shape, layout.columns_out(x).T.reshape(s, m, -1))
+    if not flat.any():
+        return 0, edges
+    zero_step = np.any((last - first) / max(s - 1, 1) == 0, axis=1)
+    by_stride = norms.reshape(-1, s, m)
+    at = np.array([b // s for b, _ in chunk])
+    for group in (flat & zero_step, flat & ~zero_step):
+        if group.any():
+            by_stride[at[group]] = np.linspace(
+                first[group], last[group], s, axis=1)
+    return int(flat.sum()), edges
 
 
 def _mean_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,

@@ -7,20 +7,23 @@ layout applies T's real matrix to a block of columns as one real GEMM, or,
 for a product S (x) R made by ``channel.tensor``, the factors' real
 matrices as two real GEMMs on factor-sized matrices, so no step of a tensor
 square touches a D^2 x D^2 matrix. Columns and pairing rows move into the
-coordinates once and results move back out once. ``_dyadic_powers`` is the ladder of layouts stepping by T^(2^i), each
-squared once from the last; the power estimators read T^(n/2) and T^n off
-two of its rungs.
+coordinates once and results move back out once. ``_dyadic_powers`` is
+the ladder of layouts stepping by T^(2^i), each squared once from the
+last; the power estimators read T^(n/2) and T^n off two of its rungs.
 
 The linear estimators (the signed Cesàro means and the norm of the Cesàro
 mean) and ``spectral.cesaro_projector_iterative`` read only the orbit sums
 at the trace checkpoints and in the trailing windows ending at N/2 and N,
 which ``_orbit_sums`` gives by dyadic doubling in about 2 log2 N products.
-Only the estimators that need every step (the correlation modulus and the
-mean of norms) walk the orbit, by ``_orbit``, in strides of up to 64 steps
-per product. The correlation modulus reads every element. The mean of
-norms reads only the two ends of a stride whose norms stay flat, and fills
-the rest: a unital positive map never increases a norm, so the ends bound
-the stride.
+The correlation modulus reads every pairing rows[j] . T^k x_j, k < N,
+which ``_orbit_pairings`` gives by baby and giant steps: the first 64
+orbit elements and N/64 rows stepped by powers of T^64, both by doubling,
+then one batched product of the two, again about 2 log2 N products. Only
+the mean of norms walks the orbit, by ``_orbit``, in strides of up to 64
+steps per product, because it stops at the first stride whose end is at
+the rounding floor. It reads only the two ends of a stride whose norms stay
+flat, and fills the rest: a unital positive map never increases a norm, so
+the ends bound the stride.
 """
 
 from __future__ import annotations
@@ -147,6 +150,13 @@ class _OrbitLayout:
     def step(self, x: np.ndarray) -> np.ndarray:
         return _sandwich(self.a, x, self.b)
 
+    def transposed(self) -> "_OrbitLayout":
+        """The layout whose step moves pairing rows R (da, rows, db) as
+        R -> A^T R B: R . (A X B^T) = (A^T R B) . X, so a row stepped by
+        it pairs with a column as the row pairs with the stepped column."""
+        return _OrbitLayout(self.a.T, None if self.b is None else self.b.T,
+                            self.bases, self.perm)
+
 
 def _sandwich(left: np.ndarray, x: np.ndarray,
               right: np.ndarray | None) -> np.ndarray:
@@ -233,8 +243,9 @@ def _orbit_sums(op: MarkovOperator, x0: np.ndarray, n: int,
 
 def _orbit(op: MarkovOperator, x0: np.ndarray, n: int):
     """Every element T^k x0, k < n, of the orbit of the probe columns x0,
-    for the estimators that read each k (``_eq2`` and ``_mean_norm``); the
-    linear ones read ``_orbit_sums``.
+    walked in order for the mean of norms, which may stop early; the
+    correlation modulus reads ``_orbit_pairings`` and the linear estimators
+    ``_orbit_sums``.
 
     Returns (s, layout, strides) with stride s = min(64, n & -n), the
     largest power of two up to 64 that divides n. ``strides`` yields, for
@@ -256,3 +267,37 @@ def _orbit(op: MarkovOperator, x0: np.ndarray, n: int):
             x = stride.step(x)
             yield x
     return s, layout, strides()
+
+
+def _orbit_pairings(op: MarkovOperator, rows: np.ndarray, x0: np.ndarray,
+                    n: int) -> np.ndarray:
+    """rows[j] . T^k x_j for every k < n, as an (n, m) complex array; the
+    columns x_j of x0 are Hermitian, the rows any complex pairing rows.
+
+    Baby step, giant step: with s = min(64, n & -n) and k = g s + r,
+    rows[j] . T^k x_j = (rows[j] T^(g s)) . (T^r x_j). The s baby steps
+    T^r x are ``_widen``'s first block. The n/s giant rows come by the same
+    widening on the ``transposed`` ladder from T^s, their real and
+    imaginary parts as separate real rows. One batched real product of the
+    (m, 2n/s, D) giant rows with the (m, D, s) baby columns then gives every
+    pairing: about 2 log2 n products of the ladder in all, each on
+    factor-sized matrices for a product.
+    """
+    layout = _OrbitLayout.of(op)
+    power = _dyadic_powers(layout)
+    m = x0.shape[1]
+    s = min(64, n & -n)
+    g, k = n // s, s.bit_length() - 1
+    baby = _widen(power, layout.columns_in(x0), s)
+    da, _, db = baby.shape
+    r = layout.rows_in(rows).transpose(1, 0, 2)
+    giant = _widen(lambda i: power(k + i).transposed(),
+                   np.concatenate([r.real, r.imag], axis=1), g)
+    # giant column b * 2m + c is part c // m of row c % m stepped by T^(b s)
+    giant = giant.reshape(da, g, 2, m, db).transpose(3, 2, 1, 0, 4)
+    baby = baby.reshape(da, s, m, db).transpose(2, 0, 3, 1)
+    parts = np.matmul(giant.reshape(m, 2 * g, da * db),
+                      baby.reshape(m, da * db, s)).reshape(m, 2, n)
+    out = np.empty((m, n), dtype=complex)
+    out.real, out.imag = parts[:, 0], parts[:, 1]
+    return out.T

@@ -51,12 +51,24 @@ class BoundedSequence:
     values: np.ndarray
 
     def __init__(self, values) -> None:
-        arr = np.asarray(values, dtype=float).ravel()
+        # complex terms would lose their imaginary parts to a float cast,
+        # and text would raise a bare TypeError/ValueError from numpy
+        try:
+            arr = np.asarray(values)
+        except ValueError as exc:       # a ragged nesting
+            raise ValidationError(f"sequence is not an array: {exc}") from None
+        if arr.dtype.kind == "c":
+            raise ValidationError("sequence terms must be real")
+        if arr.dtype.kind not in "biufO":
+            raise ValidationError(f"sequence terms must be numbers, not {arr.dtype}")
+        try:
+            arr = arr.astype(float).ravel()
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"sequence terms must be real: {exc}") from None
         if arr.size < 1:
             raise ValidationError("sequence must have at least one term")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("sequence terms must be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
@@ -114,14 +126,61 @@ class DensityZeroSet:
         return float(self.profile[n - 1])
 
 
-def _first_certified_start(mask: np.ndarray, target: float) -> int | None:
-    """0-based index from which running density of mask stays < target."""
-    dens = np.cumsum(mask) / np.arange(1, mask.size + 1)
-    bad = np.flatnonzero(dens >= target)
+def _first_certified_start(pos: np.ndarray, level: int,
+                           horizon: int) -> int | None:
+    """0-based index from which the running density of the set with
+    ascending positions ``pos`` stays below 2^-level, None if it does not
+    before ``horizon``.
+
+    On [pos[j-1], pos[j]) the count is j, so the density there is >= 2^-l
+    up to index j 2^l - 1, and that segment holds such an index iff
+    j 2^l > pos[j-1]. Both ends of a segment's offending stretch grow with
+    j, so the last offending index is min(pos[j], j 2^l) - 1 at the last
+    such j (pos[J] = horizon). Integer arithmetic gives the float test's
+    answer: count / (k+1) >= 2^-l rounds either way only if it holds
+    exactly, for any k + 1 < 2^53; a shift past the horizon's bit length
+    changes no comparison.
+    """
+    if pos.size == 0:
+        return 0
+    shift = min(level, horizon.bit_length())
+    bad = (np.arange(1, pos.size + 1) << shift > pos).nonzero()[0]
     if bad.size == 0:
         return 0
-    start = int(bad[-1]) + 1
-    return start if start < mask.size else None
+    j = int(bad[-1]) + 1
+    end = int(pos[j]) if j < pos.size else horizon
+    start = min(end, j << shift)
+    return start if start < horizon else None
+
+
+def _thin(a: np.ndarray) -> tuple[np.ndarray, tuple, bool]:
+    """(mask, checkpoints, failure_to_thin) of ``extract_density_zero`` for
+    the moduli a, without the running-density profile."""
+    horizon = a.size
+    checkpoints: list[tuple[int, float, int]] = []
+    prev = 0
+    for m in range(1, _MAX_LEVEL + 1):
+        eps = 2.0 ** (-m)
+        start = _first_certified_start((a > eps).nonzero()[0], m, horizon)
+        if start is None:
+            break
+        start = max(start, prev)
+        checkpoints.append((m, eps, start))
+        prev = start
+
+    if not checkpoints:
+        return a > 0.5, (), True
+
+    mask = np.empty(horizon, dtype=bool)
+    # Segment boundaries: level m+1's threshold applies from N_m up to the
+    # next checkpoint (the first segment, before N_1, uses level 1).
+    starts = [0] + [c[2] for c in checkpoints] + [horizon]
+    levels = [1] + [c[0] + 1 for c in checkpoints]
+    levels[-1] = checkpoints[-1][0]
+    for seg, level in enumerate(levels):
+        lo, hi = starts[seg], starts[seg + 1]
+        np.greater(a[lo:hi], 2.0 ** (-level), out=mask[lo:hi])
+    return mask, tuple(checkpoints), False
 
 
 def extract_density_zero(seq: BoundedSequence) -> DensityZeroSet:
@@ -133,41 +192,12 @@ def extract_density_zero(seq: BoundedSequence) -> DensityZeroSet:
     the last checkpoint stays at the last certified threshold: descending
     once more would emit a set with no density bound at all (for a
     sequence hovering just above an uncertified threshold, the whole
-    tail).
+    tail). Each level's certificate is read off the positions above its
+    threshold by ``_first_certified_start``.
     """
-    a = np.abs(seq.values)
-    horizon = a.size
-    checkpoints: list[tuple[int, float, int]] = []
-    prev = 0
-    for m in range(1, _MAX_LEVEL + 1):
-        eps = 2.0 ** (-m)
-        start = _first_certified_start(a > eps, eps)
-        if start is None:
-            break
-        start = max(start, prev)
-        if start >= horizon:
-            break
-        checkpoints.append((m, eps, start))
-        prev = start
-
-    if not checkpoints:
-        mask = a > 0.5
-        profile = np.cumsum(mask) / np.arange(1, horizon + 1)
-        return DensityZeroSet(mask, profile, (), True)
-
-    mask = np.zeros(horizon, dtype=bool)
-    # Segment boundaries: level m+1's threshold applies from N_m up to the
-    # next checkpoint (the first segment, before N_1, uses level 1).
-    starts = [0] + [c[2] for c in checkpoints]
-    levels = [1] + [c[0] + 1 for c in checkpoints]
-    levels[-1] = checkpoints[-1][0]
-    starts.append(horizon)
-    for seg in range(len(levels)):
-        lo, hi = starts[seg], starts[seg + 1]
-        if lo < hi:
-            mask[lo:hi] = a[lo:hi] > 2.0 ** (-levels[seg])
-    profile = np.cumsum(mask) / np.arange(1, horizon + 1)
-    return DensityZeroSet(mask, profile, tuple(checkpoints), False)
+    mask, checkpoints, failed = _thin(np.abs(seq.values))
+    profile = np.cumsum(mask) / np.arange(1, mask.size + 1)
+    return DensityZeroSet(mask, profile, checkpoints, failed)
 
 
 def dyadic_decreasing(trace, tol: float,
@@ -249,30 +279,34 @@ def check_kvn_equivalence(seq: BoundedSequence, n: int, tol: float,
     """
     n = _check_horizon(seq, n)
     pts = _dyadic_checkpoints(n)
-    dz = extract_density_zero(seq)
-    a = np.abs(seq.values)
+    mask, _, failure_to_thin = _thin(np.abs(seq.values))
+    mask = mask[:n]
+    a = np.abs(seq.values[:n])
+    sq = a * a
     bound = seq.bound
 
-    abs_tr, sq_tr, off_tr, dens_tr = [], [], [], []
-    for p in pts:
-        ca = cesaro_abs(seq, p)
-        cs = cesaro_sq(seq, p)
+    # the means are np.mean's floats (one pairwise sum over the prefix,
+    # divided by its length). The windows [p/2, p) tile [pts[0]/2, n): the
+    # off-set maxima are those of |a_k| zeroed on the thinned set, 0.0
+    # where a window lies inside it, and the running densities are the
+    # cumulated counts of the set over the windows, each over its p.
+    abs_tr = [float(np.add.reduce(a[:p]) / p) for p in pts]
+    sq_tr = [float(np.add.reduce(sq[:p]) / p) for p in pts]
+    off_tr = [float(v) for v in np.maximum.reduceat(
+        np.where(mask, 0.0, a), [pts[0] // 2] + pts[:-1])]
+    counts = np.cumsum(np.add.reduceat(mask, [0] + pts[:-1], dtype=np.intp))
+    dens_tr = [float(v) for v in counts / np.array(pts)]
+    for p, ca, cs in zip(pts, abs_tr, sq_tr):
         # Exact inequalities up to float roundoff.
         if ca * ca > cs + 1e-12 or cs > bound * ca + 1e-12:
             raise EquivalenceViolation(
                 f"Cauchy-Schwarz sandwich violated at n = {p}: "
                 f"mean|a| = {ca}, mean|a|^2 = {cs}, bound = {bound}"
             )
-        window = np.arange(p // 2, p)
-        off = window[~dz.mask[window]]
-        off_tr.append(float(a[off].max()) if off.size else 0.0)
-        dens_tr.append(dz.density(p))
-        abs_tr.append(ca)
-        sq_tr.append(cs)
 
     v_abs = dyadic_decreasing(abs_tr, tol, ratio)
     v_sq = dyadic_decreasing(sq_tr, tol * tol, ratio)
-    v_off = (not dz.failure_to_thin) and dyadic_decreasing(off_tr, tol, ratio) \
+    v_off = (not failure_to_thin) and dyadic_decreasing(off_tr, tol, ratio) \
         and dyadic_decreasing(dens_tr, tol, ratio)
     clear_pass = [v_abs and abs_tr[-1] <= tol,
                   v_sq and sq_tr[-1] <= tol * tol,
@@ -282,7 +316,7 @@ def check_kvn_equivalence(seq: BoundedSequence, n: int, tol: float,
     # below that scale.
     clear_fail = [_clearly_flat_above(abs_tr, tol),
                   _clearly_flat_above(sq_tr, max(tol * tol, bound * tol)),
-                  dz.failure_to_thin or _clearly_flat_above(off_tr, tol)]
+                  failure_to_thin or _clearly_flat_above(off_tr, tol)]
     if any(clear_pass) and any(clear_fail):
         raise EquivalenceViolation(
             f"criteria disagree: mean|a| tending = {v_abs}, "
@@ -305,6 +339,6 @@ def check_kvn_equivalence(seq: BoundedSequence, n: int, tol: float,
         sq_trace=tuple(sq_tr),
         offj_trace=tuple(off_tr),
         density_trace=tuple(dens_tr),
-        failure_to_thin=dz.failure_to_thin,
-        final_density=dz.density(n),
+        failure_to_thin=failure_to_thin,
+        final_density=dens_tr[-1],
     )

@@ -509,6 +509,76 @@ def test_correlation_running_matches_step_by_step():
         x = op.matrix @ x
 
 
+CORRELATION_SYSTEMS = {
+    "2": lambda: sys_for(random_unital_cp(AlgebraShape([2]), 2, seed=8)),
+    "3-unitary": lambda: sys_for(random_unital_cp(AlgebraShape([3]), 1, seed=8)),
+    "112": lambda: sys_for(random_unital_cp(AlgebraShape([1, 1, 2]), 3, seed=8)),
+    "23": lambda: sys_for(random_unital_cp(AlgebraShape([2, 3]), 2, seed=8)),
+    "square-3": lambda: _square_of([3], 2, seed=8),
+}
+
+
+@pytest.mark.parametrize("name", CORRELATION_SYSTEMS)
+def test_correlation_running_matches_step_by_step_over_the_horizon(name):
+    # n = 4096: 64 baby steps and 64 giant rows, against 4096 steps of the
+    # complex matrix, on unit-norm probes and the estimator's own rows
+    system = CORRELATION_SYSTEMS[name]()
+    n = DEFAULT.estimator_n
+    rows, consts, x = mixing._correlation_probes(
+        system, np.random.default_rng(3), DEFAULT)
+    series = mixing._correlation_running(system, rows, consts, x, n)
+    assert series.shape == (n, DEFAULT.estimator_pairs)
+    m = system.operator.matrix
+    for k in range(n):
+        want = np.einsum("jd,dj->j", rows, x) - consts
+        np.testing.assert_allclose(series[k], want, rtol=0, atol=1e-12)
+        x = m @ x
+
+
+def test_correlation_running_takes_about_two_products_per_doubling(monkeypatch):
+    # log2(64) baby steps, log2(4096 / 64) giant steps and the squarings up
+    # to T^2048, where a walk in strides of 64 took 69 steps
+    calls = []
+    for name in ("step", "squared"):
+        real = getattr(orbit._OrbitLayout, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(orbit._OrbitLayout, name, counted)
+    for system in (CORRELATION_SYSTEMS["3-unitary"](),
+                   CORRELATION_SYSTEMS["square-3"]()):
+        calls.clear()
+        n = DEFAULT.estimator_n
+        rows, consts, x = mixing._correlation_probes(
+            system, np.random.default_rng(3), DEFAULT)
+        mixing._correlation_running(system, rows, consts, x, n)
+        assert len(calls) <= 2 * (n.bit_length() - 1) + 8
+
+
+def test_eq2_reaches_the_lemma_through_its_module_attribute(monkeypatch):
+    # perfbench times sequences.check_kvn_equivalence by replacing every
+    # module attribute bound to it; the estimator must reach the lemma
+    # through such an attribute, once per probe pair
+    import sys as _sys
+    from cstar_mixing import sequences
+    original = sequences.check_kvn_equivalence
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+    for name, module in list(_sys.modules.items()):
+        if name == "cstar_mixing" or name.startswith("cstar_mixing."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    ok, trace = mixing._eq2_estimator(chain_system(),
+                                      np.random.default_rng(0), DEFAULT)
+    assert calls == [DEFAULT.estimator_n] * DEFAULT.estimator_pairs
+    assert len(trace["per_pair"]) == DEFAULT.estimator_pairs
+
+
 LINEAR_SYSTEMS = {
     "plain": lambda: sys_for(random_unital_cp(AlgebraShape([1, 2]), 2, seed=12)),
     "tensor_square": lambda: tensor_system(
@@ -746,7 +816,8 @@ def test_decaying_orbit_norms_are_the_full_walks(blocks):
 
 def test_flat_strides_evaluate_only_their_ends(monkeypatch):
     # a unitary conjugation keeps every norm, so each stride of 64 costs the
-    # norms of its first and last rows, 2 m of them, and none of the others
+    # norms of its first and last rows, 2 m of them, and none of the others:
+    # the rows evaluated, in whatever calls, are exactly the moved-out ends
     system = sys_for(random_unital_cp(AlgebraShape([3]), 1, seed=0))
     x = mixing._centered_columns(system, mixing._random_probe_elements(
         system, np.random.default_rng(0), DEFAULT))
@@ -754,14 +825,18 @@ def test_flat_strides_evaluate_only_their_ends(monkeypatch):
     evaluated = []
 
     def counted(shape, stacked):
-        evaluated.append(stacked.size // stacked.shape[-1])
+        evaluated.append(stacked.reshape(-1, stacked.shape[-1]))
         return real(shape, stacked)
     monkeypatch.setattr(mixing, "hermitian_operator_norms", counted)
-    m, n, s = x.shape[1], DEFAULT.estimator_n, 64
+    (d, m), n, s = x.shape, DEFAULT.estimator_n, 64
     _, floor_step, flat = mixing._orbit_norm_series(system, x, n)
     assert floor_step is None and flat == n // s
-    assert len(evaluated) == n // s
-    assert all(k <= 2 * m for k in evaluated)
+    rows = np.concatenate(evaluated)
+    assert len(rows) == 2 * m * (n // s)
+    _, layout, strides = orbit._orbit(system.operator, x, n)
+    ends = np.r_[:m, (s - 1) * m:s * m]
+    want = [layout.columns_out(block[:, ends]).T for block in strides]
+    np.testing.assert_allclose(rows, np.concatenate(want), rtol=0, atol=1e-13)
 
 
 def test_a_stride_is_filled_only_when_every_probe_is_flat():
@@ -779,6 +854,25 @@ def test_a_stride_is_filled_only_when_every_probe_is_flat():
     np.testing.assert_allclose(norms[:, 0], 1.0, rtol=1e-12)
     np.testing.assert_allclose(norms[:, 1], 0.98 ** np.arange(n), rtol=1e-12,
                                atol=mixing._NORM_FLOOR)
+
+
+def test_a_stride_that_reaches_the_floor_ends_its_chunk():
+    # the shift (T x)_i = x_min(i+1, N-1) moves e_90 and e_120 to zero at
+    # steps 91 and 121: the first stride is flat, so the next chunk may hold
+    # two strides, but the second stride ends at the floor and the walk
+    # stops there, as a stride-by-stride walk does
+    N = 130
+    P = np.zeros((N, N))
+    P[np.arange(N), np.minimum(np.arange(N) + 1, N - 1)] = 1.0
+    op = from_stochastic(P)
+    system = DynamicalSystem(op, canonical_invariant_state(op))
+    x = np.zeros((N, 2), dtype=complex)
+    x[90, 0] = x[120, 1] = 1.0
+    n = DEFAULT.estimator_n
+    norms, floor_step, flat = mixing._orbit_norm_series(system, x, n)
+    ref, ref_floor_step = _norm_series_by_full_walk(system, x, n)
+    assert floor_step == ref_floor_step == 128 and flat == 1
+    assert np.array_equal(norms, ref)
 
 
 def test_the_norm_trace_reports_its_floor_step():

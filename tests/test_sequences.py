@@ -1,15 +1,29 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_mixing import (
+    AlgebraShape,
     BoundedSequence,
+    DynamicalSystem,
+    EquivalenceViolation,
     ValidationError,
+    canonical_invariant_state,
     cesaro_abs,
     cesaro_sq,
     check_kvn_equivalence,
     extract_density_zero,
+    random_unital_cp,
 )
+from cstar_mixing import mixing
+from cstar_mixing.config import DEFAULT
 from cstar_mixing.sequences import (
+    _MAX_LEVEL,
+    DensityZeroSet,
+    KvnRecord,
     _clearly_flat_above,
     _dyadic_checkpoints,
     dyadic_decreasing,
@@ -40,6 +54,38 @@ def test_bounded_sequence_validation():
     assert s.bound == 2.0
     with pytest.raises(ValueError):
         s.values[0] = 5.0
+
+
+@pytest.mark.parametrize("values", [
+    np.array([1j, 2j, 0.5j]),
+    [1j],
+    np.full(8, 0.5 + 0.5j),
+    np.array([1.0, 2.0], dtype=complex),      # complex dtype, zero imaginary
+    np.array([0.5, 1j], dtype=object),
+    ["a"],
+    ["1.5"],
+    [None],
+    [[1.0, 2.0], [3.0]],                      # ragged
+])
+def test_complex_or_non_numeric_terms_are_rejected(values):
+    # a float cast would drop the imaginary parts (storing [0, 0, 0] for
+    # the first), and numpy's own TypeError/ValueError would escape
+    with pytest.raises(ValidationError):
+        BoundedSequence(values)
+
+
+def test_real_terms_of_every_numeric_kind_are_kept():
+    for values in ([1, -2, 3], np.array([1, 2], dtype=np.uint8),
+                   [True, False], np.array([0.5, 0.25], dtype=np.float32),
+                   np.array([0.5, -1.0], dtype=object)):
+        s = BoundedSequence(values)
+        assert s.values.dtype == np.float64
+        np.testing.assert_array_equal(s.values, np.asarray(values, dtype=float))
+    # the stored terms are a private copy
+    raw = np.array([1.0, 2.0])
+    s = BoundedSequence(raw)
+    raw[0] = 9.0
+    assert s.values[0] == 1.0
 
 
 def test_cesaro_means_oracle():
@@ -199,3 +245,190 @@ def test_sandwich_holds_on_random_data():
             ca, cs = cesaro_abs(seq, p), cesaro_sq(seq, p)
             assert ca * ca <= cs + 1e-12
             assert cs <= seq.bound * ca + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the lemma against a reference: the cumulative-sum implementation of the
+# thinning and of the criteria, one mean and one fancy index per checkpoint
+# ---------------------------------------------------------------------------
+
+def _reference_certified_start(mask, target):
+    dens = np.cumsum(mask) / np.arange(1, mask.size + 1)
+    bad = np.flatnonzero(dens >= target)
+    if bad.size == 0:
+        return 0
+    start = int(bad[-1]) + 1
+    return start if start < mask.size else None
+
+
+def _reference_extract_density_zero(seq):
+    a = np.abs(seq.values)
+    horizon = a.size
+    checkpoints = []
+    prev = 0
+    for m in range(1, _MAX_LEVEL + 1):
+        eps = 2.0 ** (-m)
+        start = _reference_certified_start(a > eps, eps)
+        if start is None:
+            break
+        start = max(start, prev)
+        if start >= horizon:
+            break
+        checkpoints.append((m, eps, start))
+        prev = start
+
+    if not checkpoints:
+        mask = a > 0.5
+        profile = np.cumsum(mask) / np.arange(1, horizon + 1)
+        return DensityZeroSet(mask, profile, (), True)
+
+    mask = np.zeros(horizon, dtype=bool)
+    starts = [0] + [c[2] for c in checkpoints]
+    levels = [1] + [c[0] + 1 for c in checkpoints]
+    levels[-1] = checkpoints[-1][0]
+    starts.append(horizon)
+    for seg in range(len(levels)):
+        lo, hi = starts[seg], starts[seg + 1]
+        if lo < hi:
+            mask[lo:hi] = a[lo:hi] > 2.0 ** (-levels[seg])
+    profile = np.cumsum(mask) / np.arange(1, horizon + 1)
+    return DensityZeroSet(mask, profile, tuple(checkpoints), False)
+
+
+def _reference_check_kvn_equivalence(seq, n, tol, ratio=DEFAULT.dyadic_factor):
+    pts = _dyadic_checkpoints(n)
+    dz = _reference_extract_density_zero(seq)
+    a = np.abs(seq.values)
+    bound = seq.bound
+    abs_tr, sq_tr, off_tr, dens_tr = [], [], [], []
+    for p in pts:
+        ca = cesaro_abs(seq, p)
+        cs = cesaro_sq(seq, p)
+        if ca * ca > cs + 1e-12 or cs > bound * ca + 1e-12:
+            raise EquivalenceViolation(
+                f"Cauchy-Schwarz sandwich violated at n = {p}: "
+                f"mean|a| = {ca}, mean|a|^2 = {cs}, bound = {bound}")
+        window = np.arange(p // 2, p)
+        off = window[~dz.mask[window]]
+        off_tr.append(float(a[off].max()) if off.size else 0.0)
+        dens_tr.append(dz.density(p))
+        abs_tr.append(ca)
+        sq_tr.append(cs)
+    v_abs = dyadic_decreasing(abs_tr, tol, ratio)
+    v_sq = dyadic_decreasing(sq_tr, tol * tol, ratio)
+    v_off = (not dz.failure_to_thin) and dyadic_decreasing(off_tr, tol, ratio) \
+        and dyadic_decreasing(dens_tr, tol, ratio)
+    clear_pass = [v_abs and abs_tr[-1] <= tol,
+                  v_sq and sq_tr[-1] <= tol * tol,
+                  v_off and off_tr[-1] <= tol]
+    clear_fail = [_clearly_flat_above(abs_tr, tol),
+                  _clearly_flat_above(sq_tr, max(tol * tol, bound * tol)),
+                  dz.failure_to_thin or _clearly_flat_above(off_tr, tol)]
+    if any(clear_pass) and any(clear_fail):
+        raise EquivalenceViolation("criteria disagree")
+    return KvnRecord(
+        tending=v_abs, verdict_abs=v_abs, verdict_sq=v_sq, verdict_off=v_off,
+        checkpoints=tuple(pts), abs_trace=tuple(abs_tr),
+        sq_trace=tuple(sq_tr), offj_trace=tuple(off_tr),
+        density_trace=tuple(dens_tr), failure_to_thin=dz.failure_to_thin,
+        final_density=dz.density(n))
+
+
+def _assert_same_as_reference(values, n=None, tol=1e-3):
+    seq = BoundedSequence(values)
+    n = len(seq) if n is None else n
+    got, ref = extract_density_zero(seq), _reference_extract_density_zero(seq)
+    assert got.checkpoints == ref.checkpoints
+    assert got.failure_to_thin == ref.failure_to_thin
+    assert np.array_equal(got.mask, ref.mask)
+    assert np.array_equal(got.profile, ref.profile)
+    try:
+        want = _reference_check_kvn_equivalence(seq, n, tol)
+    except EquivalenceViolation:
+        with pytest.raises(EquivalenceViolation):
+            check_kvn_equivalence(seq, n, tol)
+        return
+    rec = check_kvn_equivalence(seq, n, tol)
+    # == on every field: the traces are the same floats, not close ones
+    for f in dataclasses.fields(KvnRecord):
+        assert getattr(rec, f.name) == getattr(want, f.name), f.name
+
+
+def _corpus():
+    k = np.arange(1, HORIZON + 1)
+    yield "square_spike", square_spike().values
+    yield "zeros", np.zeros(1024)
+    yield "ones", np.ones(1024)
+    yield "constant_2^-9", np.full(HORIZON, 2.0 ** -9)
+    yield "constant_2e-3", np.full(HORIZON, 2e-3)
+    yield "cos", 1.5e-3 * np.abs(np.cos(k))
+    yield "harmonic", 1.0 / k[:4096]
+    yield "geometric", 0.5 ** k[:512]
+    rng = np.random.default_rng(7)
+    for trial in range(25):
+        n = int(rng.integers(8, 4097))
+        kind = trial % 5
+        if kind == 0:
+            vals = rng.uniform(-1, 1, size=n)
+        elif kind == 1:
+            vals = rng.normal(size=n) / np.arange(1, n + 1)
+        elif kind == 2:
+            vals = np.where(rng.random(n) < 0.05, rng.uniform(-1, 1, n), 0.0)
+        elif kind == 3:
+            vals = np.sin(np.arange(n) * rng.uniform(0.1, 3.0))
+        else:
+            vals = rng.uniform(0, 1) * np.ones(n)
+        yield f"random_{trial}", vals
+    # exact powers of two sit on a threshold: 2^-l is not above 2^-l, and
+    # its frexp mantissa is 1/2
+    powers = 2.0 ** -rng.integers(0, 16, size=3000)
+    yield "powers", powers
+    yield "powers_and_neighbours", np.concatenate(
+        [powers, np.nextafter(powers, 0), np.nextafter(powers, 1)])
+    for level in (1, 4, 9, 12):
+        yield f"constant_2^-{level}", np.full(4096, 2.0 ** -level)
+    # isolated spikes above a floor, at spacings that certify some levels
+    for spacing in (3, 17, 100, 1000):
+        vals = np.full(4096, 1e-9)
+        vals[::spacing] = 1.0
+        yield f"spikes_{spacing}", vals
+
+
+@pytest.mark.parametrize("name,values", list(_corpus()),
+                         ids=[name for name, _ in _corpus()])
+def test_lemma_matches_the_reference_on_the_corpus(name, values):
+    _assert_same_as_reference(values)
+    # horizons shorter than the sequence, powers of two and not
+    size = np.asarray(values).size
+    for n in {size // 2, size - 1, 3 * size // 4 + 1, 1}:
+        if n >= 1:
+            _assert_same_as_reference(values, n=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(
+           st.floats(-1.0, 1.0, allow_nan=False),
+           st.sampled_from([0.0, 2.0 ** -1, 2.0 ** -3, 2.0 ** -7, 1.0,
+                            np.nextafter(2.0 ** -3, 1), 1e-300])),
+           min_size=1, max_size=700),
+       st.floats(0.0, 1.0),
+       st.sampled_from([1e-3, 0.1, 1e-6]))
+def test_lemma_matches_the_reference_on_drawn_sequences(values, frac, tol):
+    n = max(1, int(round(frac * len(values))))
+    _assert_same_as_reference(np.array(values), n=n, tol=tol)
+
+
+@pytest.mark.parametrize("kraus_count", [1, 2, 3])
+@pytest.mark.parametrize("blocks", [[2], [3], [1, 1, 2], [4]])
+def test_lemma_matches_the_reference_on_correlation_series(blocks, kraus_count):
+    # the 4,096-step series |phi(y T^k x) - phi(y) phi(x)| that the weak
+    # mixing estimator hands to the lemma
+    op = random_unital_cp(AlgebraShape(blocks), kraus_count, seed=5)
+    system = DynamicalSystem(op, canonical_invariant_state(op))
+    rows, consts, x0 = mixing._correlation_probes(
+        system, np.random.default_rng(0), DEFAULT)
+    series = mixing._correlation_running(system, rows, consts, x0,
+                                         DEFAULT.estimator_n)
+    for j in range(series.shape[1]):
+        _assert_same_as_reference(np.abs(series[:, j]),
+                                  tol=DEFAULT.estimator_abs)

@@ -15,6 +15,7 @@ import cstar_mixing.mixing as mixing
 from cstar_mixing import (
     AlgebraShape,
     DynamicalSystem,
+    Functional,
     Unsupported,
     canonical_invariant_state,
     cesaro_projector_spectral,
@@ -289,8 +290,9 @@ def test_classify_runs_one_svd_and_no_eigensolve_on_the_tensor_square(
                  id="random3-kraus2"),
     pytest.param(example2(12, 5)[0], id="example2")])
 def test_classify_reads_no_dual_matrix_and_no_range_basis(system, monkeypatch):
-    # psi . T is one row product with M everywhere (DualMap.__call__), the
-    # rank route reads the fixed-space dimension of the one SVD, and the
+    # psi . T is one row product (DualMap.__call__), with M or, on a
+    # product, with the factors' matrices; the rank route reads the
+    # fixed-space dimension of the one SVD, and the
     # fixed functionals come from the Cesàro factors, so neither the
     # D^2-entry dual matrix nor the range columns nor any singular vectors
     # are built
@@ -317,3 +319,55 @@ def test_classify_reads_no_dual_matrix_and_no_range_basis(system, monkeypatch):
         record = cstar_mixing.verify_theorem(name, (2,), 4, seed=0)
         assert record.passes == record.trials, (name, record.counterexample)
     assert uv and not any(uv)
+
+
+@pytest.mark.parametrize("left,right", [
+    pytest.param(([2], 2, 1), ([2], 2, 1), id="square-2"),
+    pytest.param(([3], 3, 2), ([3], 3, 2), id="square-3"),
+    pytest.param(([1, 1, 2], 2, 3), ([1, 1, 2], 2, 3), id="square-112"),
+    pytest.param(([2, 3], 2, 4), ([2, 3], 2, 4), id="square-23"),
+    pytest.param(([2], 3, 5), ([1, 2], 2, 6), id="product-2-12"),
+])
+def test_dual_map_of_a_product_reads_the_factors(left, right):
+    def channel(blocks, kraus, seed):
+        return random_unital_cp(AlgebraShape(blocks), kraus, seed=seed)
+    a = channel(*left)
+    op = tensor(a, a if right == left else channel(*right))
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        row = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+        psi = Functional.from_row(op.shape, row)
+        got = dual(op)(psi).row()
+        np.testing.assert_allclose(got, psi.row() @ op.matrix, rtol=0,
+                                   atol=1e-13 * np.abs(row).max())
+
+
+class _Unread(np.ndarray):
+    """An array that fails on any arithmetic, indexing or conversion."""
+
+    def _fail(self, *args, **kwargs):
+        raise AssertionError("the tensor square's matrix was read")
+
+    __array_ufunc__ = __array_function__ = __getitem__ = __array__ = _fail
+
+
+@pytest.mark.parametrize("blocks", [[3], [2, 3]])
+@pytest.mark.parametrize("kraus_count", [1, 2, 3])
+def test_classify_reads_no_matrix_of_the_tensor_square(blocks, kraus_count,
+                                                         monkeypatch):
+    # every step, spectral datum and psi . T of the square comes from its
+    # factors: with its D^2 x D^2 matrix replaced by NaNs that fail on any
+    # use (NaNs alone would pass a drift check: NaN > tol is False), the
+    # report is the same
+    from cstar_mixing.serialize import report_to_dict
+    op = random_unital_cp(AlgebraShape(blocks), kraus_count, seed=11)
+    want = report_to_dict(classify(_system(op)))
+    real = mixing.tensor
+
+    def poisoned(a, b):
+        product = real(a, b)
+        object.__setattr__(product, "matrix", np.full_like(
+            product.matrix, np.nan).view(_Unread))
+        return product
+    monkeypatch.setattr(mixing, "tensor", poisoned)
+    assert report_to_dict(classify(_system(op))) == want
