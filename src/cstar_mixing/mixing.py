@@ -2,41 +2,31 @@
 
 Decision policy: every verdict is grounded in an exact spectral criterion
 (fixed-space dimension, peripheral spectrum, Cesàro and power projectors);
-the definition-based Cesàro estimators run alongside as cross-validation
-and a conflict raises MethodDisagreement rather than being averaged away.
-Estimators use finite horizons (2**12 steps for Cesàro means, 2**10 for
-power limits) and the dyadic-decrease test shared with `sequences`:
-a trace counts as vanishing when its trailing-window maximum at N is below
-the absolute threshold or at most ``Config.dyadic_factor`` (0.75) times its
-value at N/2, by ``sequences.dyadic_decreasing``. The window maximum
-(rather than a single sample) keeps oscillating-but-decaying traces from
-passing or failing on the phase they happen to be caught at.
+the definition-based estimators run alongside as cross-validation and a
+conflict raises MethodDisagreement rather than being averaged away. Each of
+the eight estimators (signed Cesàro means, correlation modulus, state mean,
+mean of norms, norm of the Cesàro mean, power norm, weak power and dual
+power) only reads its probes' orbits into a ``sequences.EstimatorRecord``:
+each probe's values at N/2 and N, which are trailing-window maxima over
+2**12 steps for the Cesàro estimators and single samples at 2**10 for the
+power ones, with the checkpoint trace and the horizon. One function,
+``sequences.decide``, decides every record: it vanishes when each probe's
+value at N is below the threshold or at most ``Config.dyadic_factor``
+(0.75) times its value at N/2. ``_decided`` writes each estimator's witness
+from its record. The window maximum (rather than a single sample) keeps
+oscillating-but-decaying traces from passing or failing on the phase they
+happen to be caught at.
 An estimator's m random probes (and its random states or functionals) are
 one (m, D) array of vecs, drawn in one call of the generator through
 ``algebra``'s per-shape index map, with the numbers m separate draws would
 give; phi(x_j) is taken by one dot per probe, as ``Functional.__call__``
 takes it, because a batched matrix-vector product rounds differently.
 Every T^k step comes from ``orbit``, in real arithmetic on the real
-coordinates of the Hermitian probes: orbit sums by dyadic doubling for the
-linear estimators, baby and giant steps for the correlation series, a
-strided walk for the mean of norms, and the squaring ladder for the power
-estimators. The mean of norms rests on the contraction of the operator norm
-by a unital positive map: along an orbit the norms never increase. A stride
-whose end norms agree to 1e-12 of its norm is therefore filled by
-interpolating between them, without an eigvalsh per step; the ends of up to
-8 strides are evaluated at once. The walk stops at the end of the first
-stride after which every probe's Frobenius norm is at most 1e-14, about 50
-ulp: every later term is at most that floor, and the terms not walked count
-as the floor. Its trace records the horizon walked as ``floor_step`` (None
-when the floor is never reached) and the strides filled as
-``flat_strides``.
-The norm of the Cesàro mean reads only each trailing window's maximum. It
-takes the norm of the window's first mean, the anchor i, exactly, and
-bounds each later mean by ||S_j / k_j|| <= (k_i / k_j) ||S_i / k_i|| +
-||S_j - S_i||_F / k_j, the Frobenius norm read off the real coordinates.
-A mean whose bound, widened by the relative slack 1e-9 and the floor, is
-still below the anchor's norm cannot be the maximum and is not
-eigen-solved; the maxima are the floats a read of every mean gives.
+coordinates of the Hermitian probes. The mean of norms walks only as far as
+the norms stay above a rounding floor, and reads only the ends of the
+strides whose norms stay flat (``_orbit_norm_series``); the norm of the
+Cesàro mean eigen-solves only the means that can be their window's maximum
+(``_cesaro_norm_estimator``).
 
 Each property has one implementation, its public ``check_*``, which
 ``classify`` and the verifier's trials call. Inside a ``_sharing()`` scope,
@@ -114,7 +104,8 @@ from .orbit import (
     _read_samples,
     _sample_lengths,
 )
-from .sequences import BoundedSequence, check_kvn_equivalence, dyadic_decreasing
+from . import sequences
+from .sequences import BoundedSequence, EstimatorRecord, check_kvn_equivalence
 from .spectral import (
     _cesaro_factors,
     _spectral_data,
@@ -292,12 +283,28 @@ def _thread_count() -> int:
     return 1
 
 
-def _dyadic_passes(half: np.ndarray, full: np.ndarray, tol: float,
-                   cfg: Config) -> bool:
-    """Whether every trace (its values at N/2 and N) passes
-    ``dyadic_decreasing`` at ``cfg.dyadic_factor``."""
-    return all(dyadic_decreasing((h, f), tol, cfg.dyadic_factor)
-               for h, f in zip(half, full))
+def _decided(rec: EstimatorRecord, cfg: Config, *keys: str,
+             tol: float | None = None) -> tuple[bool, dict]:
+    """(verdict, witness) of an estimator's record: ``sequences.decide`` at
+    ``tol`` (default ``cfg.estimator_abs``), and the record shown under
+    ``keys`` in plain numbers. "half"/"at_half" and "final"/"at_full" show
+    the values at N/2 and N, "per_pair" each probe's own verdict."""
+    decide = functools.partial(sequences.decide, tol=cfg.estimator_abs
+                               if tol is None else tol, ratio=cfg.dyadic_factor)
+
+    def show(key: str):
+        if key == "trace":
+            return {"checkpoints": list(rec.checkpoints),
+                    "values": rec.trace.tolist()}
+        if key == "per_pair":
+            return [decide(EstimatorRecord(v[:, None], rec.horizon))
+                    for v in rec.values.T]
+        if key in ("floor_step", "flat_strides"):
+            return getattr(rec, key)
+        return (rec.final_sq if key == "final_sq_means" else
+                rec.values[-2 if key in ("half", "at_half") else -1]).tolist()
+
+    return decide(rec), {key: show(key) for key in keys}
 
 
 def _random_probe_elements(sys: DynamicalSystem, rng: np.random.Generator,
@@ -346,24 +353,24 @@ def _correlation_probes(sys: DynamicalSystem, rng: np.random.Generator,
 
 
 def _signed_means(sys: DynamicalSystem, rows: np.ndarray, consts: np.ndarray,
-                  x0: np.ndarray, cfg: Config) -> tuple[dict, np.ndarray, np.ndarray]:
-    """|(1/k) sum_{j<k} rows[i] . T^j x_i - consts[i]| at the ``_orbit_sums``
-    lengths, read out by ``_read_samples``."""
+                  x0: np.ndarray, cfg: Config) -> EstimatorRecord:
+    """The record of |(1/k) sum_{j<k} rows[i] . T^j x_i - consts[i]| at the
+    ``_orbit_sums`` lengths, read out by ``_read_samples``."""
     n = cfg.estimator_n
     w = min(cfg.dyadic_window, n // 2)
     ks, layout, sums = _orbit_sums(sys.operator, x0, n, w)
     k = ks[:, None]
     paired = np.einsum("iab,akib->ki", layout.rows_in(rows), sums)
     means = np.abs(paired - k * consts) / k
-    return _read_samples(means, n, w)
+    pts, trace, ends = _read_samples(means, n, w)
+    return EstimatorRecord(ends, n, pts, trace)
 
 
 def _eq1_estimator(sys: DynamicalSystem, rng: np.random.Generator,
                    cfg: Config) -> tuple[bool, dict]:
     """Signed Cesàro means of phi(y T^k x) - phi(y) phi(x), random pairs."""
-    trace, half, full = _signed_means(sys, *_correlation_probes(sys, rng, cfg), cfg)
-    ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
-    return ok, {"trace": trace, "final": [float(v) for v in full]}
+    return _decided(_signed_means(sys, *_correlation_probes(sys, rng, cfg), cfg),
+                    cfg, "trace", "final")
 
 
 def _eq2_estimator(sys: DynamicalSystem, rng: np.random.Generator,
@@ -373,13 +380,14 @@ def _eq2_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     rows, consts, x0 = _correlation_probes(sys, rng, cfg)
     n = cfg.estimator_n
     series = _correlation_running(sys, rows, consts, x0, n)
-    verdicts, finals = [], []
-    for j in range(series.shape[1]):
-        rec = check_kvn_equivalence(BoundedSequence(np.abs(series[:, j])),
-                                    n, cfg.estimator_abs, cfg.dyadic_factor)
-        verdicts.append(rec.tending)
-        finals.append(rec.sq_trace[-1])
-    return all(verdicts), {"per_pair": verdicts, "final_sq_means": finals}
+    lemma = [check_kvn_equivalence(BoundedSequence(np.abs(a)), n,
+                                   cfg.estimator_abs, cfg.dyadic_factor)
+             for a in series.T]
+    trace = np.array([r.abs_trace for r in lemma]).T
+    return _decided(EstimatorRecord(
+        trace[-2:], n, lemma[0].checkpoints, trace,
+        final_sq=np.array([r.sq_trace[-1] for r in lemma])), cfg, "per_pair",
+        "final_sq_means")
 
 
 def _state_mean_estimator(sys: DynamicalSystem, rng: np.random.Generator,
@@ -388,10 +396,8 @@ def _state_mean_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     xs = _random_probe_elements(sys, rng, cfg)
     rows = _random_state_rows(sys.shape, rng, cfg.estimator_pairs)
     consts = np.array(_state_values(sys, xs))
-    trace, half, full = _signed_means(sys, rows, consts,
-                                      np.ascontiguousarray(xs.T), cfg)
-    ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
-    return ok, {"trace": trace}
+    return _decided(_signed_means(sys, rows, consts, np.ascontiguousarray(xs.T),
+                                  cfg), cfg, "trace")
 
 
 def _random_state_rows(shape: AlgebraShape, rng: np.random.Generator,
@@ -530,10 +536,10 @@ def _mean_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     w = min(cfg.dyadic_window, n // 2)
     norms, floor_step, flat = _orbit_norm_series(sys, x0, n)
     running = np.cumsum(norms, axis=0) / np.arange(1, n + 1)[:, None]
-    trace, half, full = _read_samples(running[_sample_lengths(n, w) - 1], n, w)
-    ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
-    return ok, {"trace": trace, "final": [float(v) for v in full],
-                "floor_step": floor_step, "flat_strides": flat}
+    pts, trace, ends = _read_samples(running[_sample_lengths(n, w) - 1], n, w)
+    return _decided(EstimatorRecord(ends, n, pts, trace, floor_step=floor_step,
+                                    flat_strides=flat),
+                    cfg, "trace", "final", "floor_step", "flat_strides")
 
 
 def _norm_trace(sys: DynamicalSystem, config: Config, seed: int) -> tuple[bool, dict]:
@@ -594,17 +600,15 @@ def _cesaro_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
         cols = i * w * m + np.flatnonzero(window)
         if cols.size:
             norms[cols] = norms_at(cols)
-    half, full = norms.reshape(2, w, m).max(axis=1)
-    ok = _dyadic_passes(half, full, cfg.estimator_abs, cfg)
-    return ok, {"final": [float(v) for v in full],
-                "half": [float(v) for v in half]}
+    return _decided(EstimatorRecord(norms.reshape(2, w, m).max(axis=1), n),
+                    cfg, "final", "half")
 
 
 def _power_estimators(sys: DynamicalSystem, rng: np.random.Generator,
-                      cfg: Config) -> dict:
-    """(ok, trace) at the power horizon n and at n/2, from one squaring
-    ladder of T, for "power_norm", ||T^n x - phi(x) 1||, then "weak_power",
-    psi(T^n x) -> phi(x) for random states psi (drawn in that order)."""
+                      cfg: Config) -> tuple[tuple[bool, dict], tuple[bool, dict]]:
+    """(verdict, witness) at the power horizon n and at n/2, from one
+    squaring ladder of T, of ||T^n x - phi(x) 1||, then of psi(T^n x) ->
+    phi(x) for random states psi (drawn in that order)."""
     layout = _OrbitLayout.of(sys.operator)
     power = _dyadic_powers(layout)
     i = cfg.exact_power_n.bit_length() - 1
@@ -612,19 +616,14 @@ def _power_estimators(sys: DynamicalSystem, rng: np.random.Generator,
         sys, _random_probe_elements(sys, rng, cfg))) for _ in range(2))
     rows = layout.rows_in(_random_state_rows(sys.shape, rng,
                                              cfg.estimator_pairs))
-    n_half, n_full = (hermitian_operator_norms(
+    norms = np.stack([hermitian_operator_norms(
         sys.shape, layout.columns_out(power(k).step(x_norm)).T)
-        for k in (i - 1, i))
-    w_half, w_full = (np.abs(np.einsum("jab,ajb->j", rows,
-                                       power(k).step(x_weak)))
-                      for k in (i - 1, i))
-    return {
-        "power_norm": (_dyadic_passes(n_half, n_full, cfg.estimator_abs, cfg),
-                       {"at_half": [float(v) for v in n_half],
-                        "at_full": [float(v) for v in n_full]}),
-        "weak_power": (_dyadic_passes(w_half, w_full, cfg.estimator_abs, cfg),
-                       {"at_full": [float(v) for v in w_full]}),
-    }
+        for k in (i - 1, i)])
+    weak = np.stack([np.abs(np.einsum("jab,ajb->j", rows, power(k).step(x_weak)))
+                     for k in (i - 1, i)])
+    return (_decided(EstimatorRecord(norms, cfg.exact_power_n), cfg, "at_half",
+                     "at_full"),
+            _decided(EstimatorRecord(weak, cfg.exact_power_n), cfg, "at_full"))
 
 
 def _dual_power_estimator(sys: DynamicalSystem, rng: np.random.Generator,
@@ -644,10 +643,10 @@ def _dual_power_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     # psi_j(1), one dot per functional as Functional.__call__ takes it
     units = [complex(r @ one) for r in rows]
     target = np.outer(units, sys.state.row())
-    vals_half = trace_norms(sys.shape, rows @ m_half - target)
-    vals_full = trace_norms(sys.shape, rows @ m_full - target)
-    ok = _dyadic_passes(vals_half, vals_full, cfg.exact_estimator_tol, cfg)
-    return ok, {"at_full": [float(x) for x in vals_full]}
+    values = np.stack([trace_norms(sys.shape, rows @ m - target)
+                       for m in (m_half, m_full)])
+    return _decided(EstimatorRecord(values, cfg.exact_power_n), cfg, "at_full",
+                    tol=cfg.exact_estimator_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -893,11 +892,11 @@ def _observed_conditions(sys: DynamicalSystem, config: Config,
     """Observed verdicts, traces, and whether they keep (i) iff (ii) and
     (ii) implies (iv): (i) is ``_norm_trace``, (ii) power norm and (iv) weak
     power are drawn from a fresh ``seed + 2`` generator."""
-    results = {"cesaro_of_norms": _norm_trace(sys, config, seed),
-               **_power_estimators(sys, np.random.default_rng(seed + 2), config)}
-    observed = {k: ok for k, (ok, _) in results.items()}
-    traces = {k: tr for k, (_, tr) in results.items()}
-    i, ii, iv = observed.values()
+    names = ("cesaro_of_norms", "power_norm", "weak_power")
+    verdicts, witnesses = zip(_norm_trace(sys, config, seed), *_power_estimators(
+        sys, np.random.default_rng(seed + 2), config))
+    observed, traces = dict(zip(names, verdicts)), dict(zip(names, witnesses))
+    i, ii, iv = verdicts
     return observed, traces, i == ii and (iv or not ii)
 
 

@@ -49,15 +49,14 @@ def _sample_lengths(n: int, w: int) -> np.ndarray:
                     + list(range(n - w + 1, n + 1)))
 
 
-def _read_samples(values: np.ndarray, n: int, w: int) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Split per-pair values at the ``_sample_lengths`` into the checkpoint
-    trace and the trailing-window maxima at N/2 and N."""
-    pts = _checkpoints(n)
+def _read_samples(values: np.ndarray, n: int,
+                  w: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Split per-pair values at the ``_sample_lengths`` into the
+    ``_checkpoints``, the values there and the (2, m) trailing-window
+    maxima at N/2 and N."""
+    pts = tuple(_checkpoints(n))
     c = len(pts)
-    trace = {"checkpoints": pts,
-             "values": [[float(v) for v in row] for row in values[:c]]}
-    return trace, values[c:c + w].max(axis=0), values[c + w:].max(axis=0)
-
+    return pts, values[:c], values[c:].reshape(2, w, -1).max(axis=1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,7 @@ certified level, so every segment's density claim is backed by the data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,13 +201,30 @@ def extract_density_zero(seq: BoundedSequence) -> DensityZeroSet:
     return DensityZeroSet(mask, profile, checkpoints, failed)
 
 
+def _check_cut(tol: float, ratio: float) -> None:
+    """ValidationError unless 0 <= tol < inf and 0 < ratio <= 1, the ranges
+    of ``Config.estimator_abs`` and ``Config.dyadic_factor``."""
+    if not (0.0 <= tol < math.inf and 0.0 < ratio <= 1.0):
+        raise ValidationError("need 0 <= tol < inf and 0 < ratio <= 1, got "
+                              f"tol = {tol!r}, ratio = {ratio!r}")
+
+
 def dyadic_decreasing(trace, tol: float,
                       ratio: float = DEFAULT.dyadic_factor) -> bool:
     """Finite-horizon "tends to zero" test on a coarse-to-fine dyadic trace.
 
     Passes if the finest value is at most tol outright, or dropped to at
-    most ``ratio`` times the previous checkpoint's value.
+    most ``ratio`` times the previous checkpoint's value. A tol that is
+    negative, infinite or NaN, or a ratio outside (0, 1], raises
+    ValidationError.
     """
+    _check_cut(tol, ratio)
+    return _decreasing(trace, tol, ratio)
+
+
+def _decreasing(trace, tol: float, ratio: float) -> bool:
+    """``dyadic_decreasing`` without the check of ``tol``, which the lemma
+    squares for its second criterion."""
     vals = [float(v) for v in trace]
     if not vals:
         raise ValidationError("empty trace")
@@ -275,8 +293,10 @@ def check_kvn_equivalence(seq: BoundedSequence, n: int, tol: float,
     violation is therefore only raised for an unambiguous conflict: one
     criterion passed outright (final value under its tolerance) while
     another ended flat at _GUARD times its own. Borderline splits are
-    reported through the traces, not raised.
+    reported through the traces, not raised. ``tol`` and ``ratio`` are
+    checked as in ``dyadic_decreasing``.
     """
+    _check_cut(tol, ratio)
     n = _check_horizon(seq, n)
     pts = _dyadic_checkpoints(n)
     mask, _, failure_to_thin = _thin(np.abs(seq.values))
@@ -304,10 +324,10 @@ def check_kvn_equivalence(seq: BoundedSequence, n: int, tol: float,
                 f"mean|a| = {ca}, mean|a|^2 = {cs}, bound = {bound}"
             )
 
-    v_abs = dyadic_decreasing(abs_tr, tol, ratio)
-    v_sq = dyadic_decreasing(sq_tr, tol * tol, ratio)
-    v_off = (not failure_to_thin) and dyadic_decreasing(off_tr, tol, ratio) \
-        and dyadic_decreasing(dens_tr, tol, ratio)
+    v_abs = _decreasing(abs_tr, tol, ratio)
+    v_sq = _decreasing(sq_tr, tol * tol, ratio)
+    v_off = (not failure_to_thin) and _decreasing(off_tr, tol, ratio) \
+        and _decreasing(dens_tr, tol, ratio)
     clear_pass = [v_abs and abs_tr[-1] <= tol,
                   v_sq and sq_tr[-1] <= tol * tol,
                   v_off and off_tr[-1] <= tol]
@@ -342,3 +362,33 @@ def check_kvn_equivalence(seq: BoundedSequence, n: int, tol: float,
         failure_to_thin=failure_to_thin,
         final_density=dens_tr[-1],
     )
+
+
+@dataclass(frozen=True, eq=False)
+class EstimatorRecord:
+    """What a definition-based estimator read off its m probes, undecided.
+
+    ``values`` is (p, m), each probe's values at N/2 and N (p = 2) or at N
+    alone (p = 1, a horizon of one checkpoint): trailing-window maxima of
+    Cesàro means, or single samples of powers. ``horizon`` is N; ``trace``
+    has a row of m values per ``checkpoints`` entry, where there is one.
+    ``floor_step`` and ``flat_strides`` are the walk of the mean of norms,
+    ``final_sq`` each correlation modulus' mean of squares at N.
+    """
+
+    values: np.ndarray
+    horizon: int
+    checkpoints: tuple[int, ...] = ()
+    trace: np.ndarray | None = None
+    floor_step: int | None = None
+    flat_strides: int | None = None
+    final_sq: np.ndarray | None = None
+
+
+def decide(record: EstimatorRecord, tol: float,
+           ratio: float = DEFAULT.dyadic_factor) -> bool:
+    """Whether every probe of ``record`` tends to zero: its values at N/2
+    and N (at N alone) pass ``dyadic_decreasing`` at ``tol`` and ``ratio``.
+    Every estimator verdict is this function's."""
+    _check_cut(tol, ratio)
+    return all(_decreasing(v, tol, ratio) for v in record.values.T)

@@ -124,3 +124,15 @@ def test_state_mean_trace_is_pinned():
     got = witness["trace"]["values"]
     assert all(type(v) is float for row in got for v in row)
     assert np.allclose(got, want, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("verdict", [False, True])
+def test_every_estimator_verdict_follows_the_decision_function(monkeypatch,
+                                                               verdict):
+    from cstar_mixing import sequences
+    monkeypatch.setattr(sequences, "decide", lambda *args, **kwargs: verdict)
+    for kind in ("chain", "unitary"):
+        system = SYSTEMS[kind]()
+        got = {name: run_estimator(name, system, DEFAULT)[0]
+               for name in ESTIMATORS}
+        assert got == {name: verdict for name in ESTIMATORS}

@@ -72,3 +72,18 @@ def test_lower_modules_import_only_modules_below_them():
     assert upward == UPWARD
     # the allowed upward imports stay inside function bodies
     assert not any(_imports(m)[dep] for m, dep in UPWARD)
+
+
+def test_only_sequences_calls_the_dyadic_decrease_test():
+    # every estimator verdict goes through ``sequences.decide``; a second
+    # caller of the raw test would be a second decision path
+    callers = set()
+    for module in MODULES:
+        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                    f, "id", None)
+                if name == "dyadic_decreasing":
+                    callers.add(module)
+    assert callers <= {"sequences"}

@@ -646,7 +646,7 @@ def test_linear_estimators_match_step_by_step(kind, n):
     _, wit = _eq1_estimator(system, np.random.default_rng(5), cfg)
     assert_trace(wit["trace"], values, pts)
     assert np.max(np.abs(np.array(wit["final"]) - full)) <= 1e-12
-    _, got_half, _ = _signed_means(system, rows, consts, x0, cfg)
+    got_half = _signed_means(system, rows, consts, x0, cfg).values[0]
     assert np.max(np.abs(got_half - half)) <= 1e-12
 
     # state mean: random states psi against phi(x)
@@ -1074,7 +1074,8 @@ def test_power_estimators_square_once_and_match_matrix_powers(monkeypatch):
         squarings.append(self)
         return real(self)
     monkeypatch.setattr(orbit._OrbitLayout, "squared", counted)
-    got = mixing._power_estimators(system, np.random.default_rng(4), cfg)
+    power_norm, weak_power = mixing._power_estimators(
+        system, np.random.default_rng(4), cfg)
     # one ladder T, T^2, ..., T^16: T^8 and T^16 are its last two rungs
     assert len(squarings) == 4
     # the reference draws in the same order: norm probes, weak probes, states
@@ -1089,9 +1090,9 @@ def test_power_estimators_square_once_and_match_matrix_powers(monkeypatch):
     for key, n in (("at_half", 8), ("at_full", 16)):
         p = np.linalg.matrix_power(m, n)
         want = operator_norms(system.shape, (p @ x_norm).T)
-        assert np.allclose(got["power_norm"][1][key], want, atol=1e-12)
+        assert np.allclose(power_norm[1][key], want, atol=1e-12)
     want = np.abs(np.einsum("jd,dj->j", rows, np.linalg.matrix_power(m, 16) @ x_weak))
-    assert np.allclose(got["weak_power"][1]["at_full"], want, atol=1e-12)
+    assert np.allclose(weak_power[1]["at_full"], want, atol=1e-12)
     with pytest.raises(ValidationError):
         mixing._power_estimators(system, np.random.default_rng(4),
                                  cfg.replace(exact_power_n=24))

@@ -197,6 +197,40 @@ def test_dyadic_decreasing_cases():
         dyadic_decreasing([], tol=1.0)
 
 
+@pytest.mark.parametrize("ratio", [10.0, 1.5, 0.0, -0.5, float("nan")])
+def test_dyadic_decreasing_rejects_a_ratio_outside_the_unit_interval(ratio):
+    # at ratio 10 a trace that grew fivefold would "tend to zero"
+    with pytest.raises(ValidationError):
+        dyadic_decreasing([1.0, 5.0], tol=0.1, ratio=ratio)
+
+
+@pytest.mark.parametrize("tol", [-1e-3, float("inf"), float("nan")])
+def test_dyadic_decreasing_rejects_a_negative_or_non_finite_tol(tol):
+    with pytest.raises(ValidationError):
+        dyadic_decreasing([1.0, 0.5], tol=tol)
+
+
+def test_dyadic_decreasing_keeps_the_ends_of_its_ranges():
+    assert dyadic_decreasing([1.0, 1.0], tol=0.1, ratio=1.0)
+    assert not dyadic_decreasing([1.0, 1.0], tol=0.0, ratio=0.5)
+    assert dyadic_decreasing([1.0, 0.0], tol=0.0)
+
+
+@pytest.mark.parametrize("ratio", [2.0, 0.0, float("nan")])
+def test_lemma_rejects_a_ratio_outside_the_unit_interval(ratio):
+    # at ratio 2 a constant sequence would tend to zero
+    with pytest.raises(ValidationError):
+        check_kvn_equivalence(BoundedSequence(np.ones(64)), 64, tol=0.1,
+                              ratio=ratio)
+
+
+@pytest.mark.parametrize("tol", [-0.1, float("inf"), float("nan")])
+def test_lemma_rejects_a_negative_or_non_finite_tol(tol):
+    # tol = inf used to raise EquivalenceViolation, a disagreement
+    with pytest.raises(ValidationError):
+        check_kvn_equivalence(BoundedSequence(np.ones(64)), 64, tol=tol)
+
+
 def test_clearly_flat_above_bands():
     assert _clearly_flat_above([8e-3, 8e-3], 1e-3)
     # falling trace is not a contradiction even when it ends high
