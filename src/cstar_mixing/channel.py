@@ -46,6 +46,7 @@ from .errors import (
     RequiresCP,
     ShapeMismatch,
     SingularNormalization,
+    ValidationError,
 )
 
 CLAIMS = ("verified_cp", "sampled_positive", "declared")
@@ -127,6 +128,9 @@ def _validate_construction(shape: AlgebraShape, matrix: np.ndarray,
     D = shape.dim
     if matrix.shape != (D, D):
         raise ShapeMismatch(f"superoperator must be {D}x{D}, got {matrix.shape}")
+    # NaN passes every residual test below, since it compares false
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError("superoperator entries must be finite")
     one = _identity_vec(shape)
     unital_residual = float(np.max(np.abs(matrix @ one - one)))
     if unital_residual > cfg.tol_unital:

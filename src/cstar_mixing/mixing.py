@@ -325,18 +325,6 @@ def _state_values(sys: DynamicalSystem, xs: np.ndarray) -> list[complex]:
     return [complex(row @ x) for x in xs]
 
 
-def _correlation_running(sys: DynamicalSystem, rows: np.ndarray,
-                         consts: np.ndarray, x0: np.ndarray, n: int) -> np.ndarray:
-    """The correlation series a_k[j] = rows[j] . T^k x_j - consts[j] for
-    every k < n, as an (n, m) array; columns of x0 are the probes. Only
-    ``_eq2`` needs every k, and takes them by ``_orbit_pairings``' baby and
-    giant steps; the Cesàro means of the linear estimators come from
-    ``_orbit_sums``."""
-    series = _orbit_pairings(sys.operator, rows, x0, n)
-    series -= consts
-    return series
-
-
 def _correlation_probes(sys: DynamicalSystem, rng: np.random.Generator,
                         cfg: Config) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random pairs (x_j, y_j) as correlation arguments: rows phi(y_j .),
@@ -379,7 +367,7 @@ def _eq2_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     senses of the bounded-sequence lemma, per random pair."""
     rows, consts, x0 = _correlation_probes(sys, rng, cfg)
     n = cfg.estimator_n
-    series = _correlation_running(sys, rows, consts, x0, n)
+    series = _orbit_pairings(sys.operator, rows, x0, n) - consts
     lemma = [check_kvn_equivalence(BoundedSequence(np.abs(a)), n,
                                    cfg.estimator_abs, cfg.dyadic_factor)
              for a in series.T]
@@ -425,8 +413,9 @@ _NORM_FLOOR = 1e-14
 # of those would still be walked step by step. A few draws (about 2% on
 # M_3, 8% on M_4) contract by up to 1.3e-11 per stride and are walked.
 _FLAT_STRIDE = 1e-12
-# Strides whose ends ``_orbit_norm_series`` moves out and evaluates in one
-# call. A stride block of the unitary M_4 orbit is 40 KB in the layout.
+# Strides that ``_orbit_norm_series`` hands to ``_stride_norms`` at once,
+# unless the orbit reaches the floor or the horizon first. A stride block of
+# the unitary M_4 orbit is 40 KB in the layout.
 _CHUNK = 8
 
 
@@ -439,89 +428,67 @@ def _orbit_norm_series(sys: DynamicalSystem, x0: np.ndarray,
     A unital positive map is an operator-norm contraction (Russo-Dye), so
     each probe's norms never increase along the orbit, and the two ends of
     a stride of ``_orbit`` bracket every norm inside it. The strides are
-    evaluated by ``_stride_norms`` a chunk at a time, so at most one chunk
-    of the orbit is held at once. A chunk doubles from one stride up to
-    ``_CHUNK`` while every stride is flat; the floor test below runs after
-    each stride, as it is walked.
+    evaluated by ``_stride_norms`` in chunks of ``_CHUNK``, so at most one
+    chunk of the orbit is held at once; a chunk ends early at the floor or
+    at the horizon.
 
     The orbit stops at the end of the first stride after which every
     column's Frobenius norm, an upper bound on its operator norm, is at most
-    ``_NORM_FLOOR``; floor_step is the number of steps walked by then, None
-    if the orbit never gets there. By the same contraction no later norm
-    exceeds the floor, and the rows past floor_step are filled with it:
-    every Cesàro mean of w stays an upper bound of the true one, up to
-    rounding. For an operator whose positivity is only declared, the fill
-    and the floor rest on that claim, as the Jordan-part argument of
-    ``invariant_states`` does.
+    ``_NORM_FLOOR``: the Euclidean norm of its real coordinates in the
+    layout, whose bases are orthonormal. floor_step is the number of steps
+    walked by then, None if the orbit never gets there. By the same
+    contraction no later norm exceeds the floor, and the rows past
+    floor_step are filled with it: every Cesàro mean of w stays an upper
+    bound of the true one, up to rounding. For an operator whose positivity
+    is only declared, the fill and the floor rest on that claim, as the
+    Jordan-part argument of ``invariant_states`` does.
     """
     m = x0.shape[1]
     s, layout, strides = _orbit(sys.operator, x0, n)
     norms = np.full((n, m), _NORM_FLOOR)
     floor_step, flat = None, 0
-    ends = np.r_[:m, (s - 1) * m:s * m]
-    # the Euclidean norm of the layout's real coordinates is the Frobenius
-    # norm up to rounding (the bases are orthonormal), so a last row more
-    # than 1e-6 of the floor above it cannot pass the floor test; the test
-    # itself reads the moved-out row, and a stride that may pass it ends
-    # its chunk. The strides of a decaying orbit are evaluated one at a
-    # time.
-    near = (_NORM_FLOOR * (1 + 1e-6)) ** 2
     chunk: list[tuple[int, np.ndarray]] = []
-    limit = 1
     for b, x in zip(range(0, n, s), strides):
         chunk.append((b, x))
-        if len(chunk) < limit and b + s < n:
-            last = x[:, -m:]
-            if np.einsum("ajb,ajb->j", last, last).max() > near:
-                continue
-        filled, edges = _stride_norms(sys.shape, layout, chunk, ends, norms)
-        flat += filled
-        limit = min(2 * limit, _CHUNK) if filled == len(chunk) else 1
-        chunk.clear()
-        if np.linalg.norm(edges[-1, 1], axis=1).max() <= _NORM_FLOOR:
+        at_floor = np.linalg.norm(x[:, -m:], axis=(0, 2)).max() <= _NORM_FLOOR
+        if at_floor or len(chunk) == _CHUNK or b + s == n:
+            flat += _stride_norms(sys.shape, layout, chunk, norms)
+            chunk.clear()
+        if at_floor:
             floor_step = b + s
             break
     return norms, floor_step, flat
 
 
 def _stride_norms(shape: AlgebraShape, layout: _OrbitLayout, chunk: list,
-                  ends: np.ndarray,
-                  norms: np.ndarray) -> tuple[int, np.ndarray]:
+                  norms: np.ndarray) -> int:
     """Write the norms of a chunk of strides (b, block) into rows b .. b + s
-    - 1 of ``norms``; return how many were filled, and the moved-out ends
-    as (strides, 2, m, D).
+    - 1 of ``norms``; return how many were filled.
 
     The ends of the chunk's strides move out of the layout and are
     evaluated together. Where every probe's ends agree to ``_FLAT_STRIDE``
     of its first norm, as on the isometric orbits of a *-automorphism, the
     stride is filled by linear interpolation between them, which is within
     that fraction of the true norms up to rounding; each other stride has
-    all its rows moved out and evaluated. The fills are np.linspace's
-    floats for each stride alone: linspace rounds differently when any
-    step of a call is 0, so strides with a zero step get a call of their
-    own.
+    all its rows moved out and evaluated. One np.linspace call fills every
+    flat stride of the chunk.
     """
-    m = len(ends) // 2
+    m = norms.shape[1]
     s = chunk[0][1].shape[1] // m
-    edges = layout.columns_out(np.concatenate(
-        [x[:, ends] for _, x in chunk], axis=1)).T.reshape(len(chunk), 2, m,
-                                                           -1)
-    first, last = hermitian_operator_norms(shape, edges).transpose(1, 0, 2)
+    ends = np.r_[:m, (s - 1) * m:s * m]
+    edges = layout.columns_out(np.concatenate([x[:, ends] for _, x in chunk],
+                                              axis=1))
+    first, last = hermitian_operator_norms(
+        shape, edges.T.reshape(len(chunk), 2, m, -1)).transpose(1, 0, 2)
     flat = np.all(np.abs(first - last) <= _FLAT_STRIDE * first, axis=1)
     for (b, x), filled in zip(chunk, flat):
         if not filled:
             norms[b:b + s] = hermitian_operator_norms(
                 shape, layout.columns_out(x).T.reshape(s, m, -1))
-    if not flat.any():
-        return 0, edges
-    zero_step = np.any((last - first) / max(s - 1, 1) == 0, axis=1)
-    by_stride = norms.reshape(-1, s, m)
-    at = np.array([b // s for b, _ in chunk])
-    for group in (flat & zero_step, flat & ~zero_step):
-        if group.any():
-            by_stride[at[group]] = np.linspace(
-                first[group], last[group], s, axis=1)
-    return int(flat.sum()), edges
+    at = np.array([b // s for b, _ in chunk])[flat]
+    norms.reshape(-1, s, m)[at] = np.linspace(first[flat], last[flat], s,
+                                              axis=1)
+    return int(flat.sum())
 
 
 def _mean_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
@@ -594,12 +561,11 @@ def _cesaro_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     bound = k[:, :1] / k * nu + frobenius / k
     can_be_max = bound * (1 + _BOUND_SLACK) + _NORM_FLOOR >= nu
     can_be_max[:, 0] = False            # the anchors are already read
-    # a window at a time: where nothing is ruled out, at most w m means
-    # are out of the layout at once, which keeps the memory peak down
-    for i, window in enumerate(can_be_max):
-        cols = i * w * m + np.flatnonzero(window)
-        if cols.size:
-            norms[cols] = norms_at(cols)
+    # both windows in one call: at most 2 w m means (320 at the defaults),
+    # each of D entries, are out of the layout at once
+    cols = np.flatnonzero(can_be_max)
+    if cols.size:
+        norms[cols] = norms_at(cols)
     return _decided(EstimatorRecord(norms.reshape(2, w, m).max(axis=1), n),
                     cfg, "final", "half")
 

@@ -70,6 +70,12 @@ class BoundedSequence:
             raise ValidationError("sequence must have at least one term")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("sequence terms must be finite")
+        # the mean of squares sums up to len * bound**2: the bound is held to
+        # sqrt(max / len) without squaring it
+        bound = np.max(np.abs(arr))
+        if bound > math.sqrt(np.finfo(float).max / arr.size):
+            raise ValidationError(
+                f"sequence bound {bound:.3g} would overflow the mean of squares")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 

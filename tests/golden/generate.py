@@ -20,9 +20,23 @@ these files: discrete fields exactly, floats to a relative tolerance.
     python tests/golden/generate.py --bytes   # exit 1 unless the current
                                               # code reproduces them exactly
 
-Where the bytes differ, ``--bytes`` names each differing file with its
-largest absolute difference between floats at the same place, and where
-that difference is.
+Where the bytes differ, ``--bytes`` names each differing file with the
+number of floats that differ from the float at the same place, the largest
+absolute difference among them, and where that difference is. Another BLAS build
+or thread count rounds differently: regenerating the committed files, with
+no change to the code, can rewrite thousands of floats at rounding level,
+so ``--bytes`` against them does not show that a change keeps every output. To show that, run this script
+without ``--bytes`` in a scratch copy of the parent commit and one of the
+change, with the same BLAS thread count, and compare the files they wrote::
+
+    git archive <parent> --prefix=parent/ | tar -x -C scratch
+    git archive <change> --prefix=change/ | tar -x -C scratch
+    export OPENBLAS_NUM_THREADS=1
+    (cd scratch/parent && python tests/golden/generate.py)
+    (cd scratch/change && python tests/golden/generate.py)
+    for f in verify.json random_channels.json examples.json; do
+        cmp scratch/parent/tests/golden/$f scratch/change/tests/golden/$f
+    done
 """
 
 from __future__ import annotations
@@ -125,21 +139,21 @@ def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=1, allow_nan=False) + "\n"
 
 
-def largest_float_difference(got, want, path=""):
-    """(|got - want|, path) for the floats at the same place in two JSON
-    documents that differ the most; (0.0, None) if none differ. Integers,
-    and places that only one document has, are skipped."""
+def float_differences(got, want, path=""):
+    """Yield (|got - want|, path) for each float at the same place in two
+    JSON documents that differs. Integers, and places that only one
+    document has, are skipped."""
     if isinstance(got, dict) and isinstance(want, dict):
         pairs = [(got[k], want[k], f"{path}.{k}") for k in want if k in got]
     elif isinstance(got, list) and isinstance(want, list):
         pairs = [(g, w, f"{path}[{i}]")
                  for i, (g, w) in enumerate(zip(got, want))]
-    elif isinstance(got, float) and isinstance(want, float):
-        return (abs(got - want), path) if got != want else (0.0, None)
     else:
-        return 0.0, None
-    return max((largest_float_difference(g, w, p) for g, w, p in pairs),
-               key=lambda found: found[0], default=(0.0, None))
+        if isinstance(got, float) and isinstance(want, float) and got != want:
+            yield abs(got - want), path
+        return
+    for g, w, p in pairs:
+        yield from float_differences(g, w, p)
 
 
 def main(argv=None) -> int:
@@ -158,10 +172,12 @@ def main(argv=None) -> int:
         elif not path.exists():
             differ.append(f"{fname}: missing")
         elif (golden := path.read_text(encoding="utf-8")) != text:
-            size, where = largest_float_difference(json.loads(text),
-                                                   json.loads(golden))
-            differ.append(f"{fname}: largest float difference {size:.2g}"
-                          f" at {where or '-'}")
+            found = list(float_differences(json.loads(text),
+                                           json.loads(golden)))
+            size, where = max(found, default=(0.0, None),
+                              key=lambda d: d[0])
+            differ.append(f"{fname}: {len(found)} floats differ, the largest"
+                          f" by {size:.2g} at {where or '-'}")
     if args.bytes:
         print("\n".join(["differ:"] + differ) if differ else "byte-identical")
     return 1 if differ else 0

@@ -36,6 +36,7 @@ from cstar_mixing.errors import (
     NotUnital,
     RequiresCP,
     ShapeMismatch,
+    ValidationError,
 )
 from cstar_mixing.spectral import _analyse
 
@@ -64,6 +65,23 @@ def test_from_superoperator_requires_hermiticity_preserving():
     m[1, 2] = 1.0j    # sends a Hermitian unit off the Hermitian cone
     with pytest.raises(NotHermitianPreserving):
         from_superoperator(S2, m)
+
+
+def test_from_superoperator_rejects_non_finite_entries():
+    # NaN compares false against every residual bound, so it has to be
+    # caught by name; inf would otherwise pass as a unital diagonal
+    with pytest.raises(ValidationError, match="finite"):
+        from_superoperator(S2, np.diag([1.0, np.inf, np.inf, 1.0]))
+
+
+def test_from_kraus_rejects_non_finite_entries():
+    with pytest.raises(ValidationError, match="finite"):
+        from_kraus(S2, [np.array([[1.0, 0.0], [0.0, np.nan]])])
+
+
+def test_from_stochastic_rejects_non_finite_entries():
+    with pytest.raises(ValidationError, match="finite"):
+        from_stochastic(np.array([[np.nan, 0.5], [0.5, 0.5]]))
 
 
 def test_verified_cp_claim_is_checked():

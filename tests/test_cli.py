@@ -149,6 +149,23 @@ def test_invalid_stochastic_file_exits_2(tmp_path, capsys):
     assert "row 0" in err
 
 
+@pytest.mark.parametrize("blocks, operator, state", [
+    ([2], {"kind": "kraus", "data": [[[1, 0], [0, float("nan")]]]},
+     [[[0.5, 0], [0, 0.5]]]),
+    ([1, 1], {"kind": "stochastic", "data": [[float("nan"), 0.5], [0.5, 0.5]]},
+     [[[0.5]], [[0.5]]]),
+], ids=["kraus", "stochastic"])
+def test_non_finite_operator_entries_exit_2(tmp_path, capsys, blocks, operator,
+                                            state):
+    # json reads the NaN literal that json.dumps writes
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"algebra": {"blocks": blocks},
+                                "operator": operator,
+                                "state": {"blocks": state}}))
+    assert run(["classify", str(path)]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_unreadable_path_exits_2(tmp_path, capsys):
     assert run(["classify", str(tmp_path / "missing.json")]) == 2
     assert "cannot read" in capsys.readouterr().err

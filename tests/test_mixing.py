@@ -494,7 +494,6 @@ def test_layout_coordinates_keep_the_frobenius_norm(system):
 
 
 def test_correlation_running_matches_step_by_step():
-    from cstar_mixing.mixing import _correlation_running
     op = random_unital_cp(AlgebraShape([2]), 3, seed=8)
     system = sys_for(op)
     rng = np.random.default_rng(2)
@@ -502,7 +501,7 @@ def test_correlation_running_matches_step_by_step():
     consts = rng.standard_normal(3) + 0j
     # orbit columns are Hermitian elements, as the estimators' probes are
     x = _random_hermitian_vecs(system.shape, rng, 3).T
-    series = _correlation_running(system, rows, consts, x, 64)
+    series = orbit._orbit_pairings(op, rows, x, 64) - consts
     for k in range(64):
         a = np.einsum("jd,dj->j", rows, x) - consts
         assert np.allclose(series[k], a, atol=1e-12)
@@ -526,7 +525,7 @@ def test_correlation_running_matches_step_by_step_over_the_horizon(name):
     n = DEFAULT.estimator_n
     rows, consts, x = mixing._correlation_probes(
         system, np.random.default_rng(3), DEFAULT)
-    series = mixing._correlation_running(system, rows, consts, x, n)
+    series = orbit._orbit_pairings(system.operator, rows, x, n) - consts
     assert series.shape == (n, DEFAULT.estimator_pairs)
     m = system.operator.matrix
     for k in range(n):
@@ -552,7 +551,7 @@ def test_correlation_running_takes_about_two_products_per_doubling(monkeypatch):
         n = DEFAULT.estimator_n
         rows, consts, x = mixing._correlation_probes(
             system, np.random.default_rng(3), DEFAULT)
-        mixing._correlation_running(system, rows, consts, x, n)
+        orbit._orbit_pairings(system.operator, rows, x, n)
         assert len(calls) <= 2 * (n.bit_length() - 1) + 8
 
 
@@ -780,6 +779,26 @@ def test_filled_strides_of_near_isometric_orbits_match_step_by_step(blocks, eps)
     assert flat == (DEFAULT.estimator_n // 64 if eps < 1e-13 else 0)
 
 
+@pytest.mark.parametrize("op", [
+    lambda: identity_channel(AlgebraShape([3])),
+    lambda: identity_channel(AlgebraShape([1, 1, 2])),
+    lambda: identity_channel(AlgebraShape([1, 1, 1])),
+    lambda: from_stochastic(np.eye(4)[[1, 2, 3, 0]]),
+], ids=["identity-3", "identity-112", "identity-111", "cycle-4"])
+def test_zero_step_strides_match_step_by_step(op):
+    # every stride is flat. On (3) and (1,1,2) the identity's real matrix
+    # differs from I by up to 2.2e-16, so a stride's end norms differ by
+    # rounding; on the commutative shapes the layout's basis is the standard
+    # one, T's real matrix is exact, and every fill has step exactly 0
+    system = sys_for(op())
+    assert _assert_norms_match_step_by_step(system) == DEFAULT.estimator_n // 64
+    if all(b == 1 for b in system.shape.blocks):
+        x = mixing._centered_columns(system, mixing._random_probe_elements(
+            system, np.random.default_rng(1), DEFAULT))
+        norms, _, _ = mixing._orbit_norm_series(system, x, DEFAULT.estimator_n)
+        assert np.all(norms == norms[0])
+
+
 def _norm_series_by_full_walk(system, x0, n):
     """The mean-of-norms series with every stride walked: all rows up to the
     floor in one (n, m, d) array and one stacked eigvalsh over them."""
@@ -837,6 +856,25 @@ def test_flat_strides_evaluate_only_their_ends(monkeypatch):
     ends = np.r_[:m, (s - 1) * m:s * m]
     want = [layout.columns_out(block[:, ends]).T for block in strides]
     np.testing.assert_allclose(rows, np.concatenate(want), rtol=0, atol=1e-13)
+
+
+def test_a_flat_orbit_is_evaluated_in_full_chunks(monkeypatch):
+    # 64 flat strides in chunks of _CHUNK = 8: one norm call per chunk, on
+    # the ends of its strides
+    system = sys_for(random_unital_cp(AlgebraShape([3]), 1, seed=0))
+    x = mixing._centered_columns(system, mixing._random_probe_elements(
+        system, np.random.default_rng(0), DEFAULT))
+    real = mixing.hermitian_operator_norms
+    calls = []
+
+    def counted(shape, stacked):
+        calls.append(stacked.shape)
+        return real(shape, stacked)
+    monkeypatch.setattr(mixing, "hermitian_operator_norms", counted)
+    n = DEFAULT.estimator_n
+    _, floor_step, flat = mixing._orbit_norm_series(system, x, n)
+    assert floor_step is None and flat == n // 64
+    assert len(calls) == n // 64 // mixing._CHUNK == 8
 
 
 def test_a_stride_is_filled_only_when_every_probe_is_flat():

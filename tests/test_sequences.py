@@ -18,7 +18,7 @@ from cstar_mixing import (
     extract_density_zero,
     random_unital_cp,
 )
-from cstar_mixing import mixing
+from cstar_mixing import mixing, orbit
 from cstar_mixing.config import DEFAULT
 from cstar_mixing.sequences import (
     _MAX_LEVEL,
@@ -54,6 +54,16 @@ def test_bounded_sequence_validation():
     assert s.bound == 2.0
     with pytest.raises(ValueError):
         s.values[0] = 5.0
+
+
+def test_a_sequence_whose_squares_would_overflow_is_rejected():
+    # 64 squares of 1e160 sum past the largest float, so the squared
+    # criterion of the lemma would read inf; 64 squares of 1e153 do not
+    with pytest.raises(ValidationError, match="overflow"):
+        BoundedSequence(np.full(64, 1e160))
+    big = BoundedSequence(np.full(64, 1e153))
+    assert np.isfinite(cesaro_sq(big, 64))
+    assert big.bound == 1e153
 
 
 @pytest.mark.parametrize("values", [
@@ -461,8 +471,8 @@ def test_lemma_matches_the_reference_on_correlation_series(blocks, kraus_count):
     system = DynamicalSystem(op, canonical_invariant_state(op))
     rows, consts, x0 = mixing._correlation_probes(
         system, np.random.default_rng(0), DEFAULT)
-    series = mixing._correlation_running(system, rows, consts, x0,
-                                         DEFAULT.estimator_n)
+    series = orbit._orbit_pairings(system.operator, rows, x0,
+                                   DEFAULT.estimator_n) - consts
     for j in range(series.shape[1]):
         _assert_same_as_reference(np.abs(series[:, j]),
                                   tol=DEFAULT.estimator_abs)
