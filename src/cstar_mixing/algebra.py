@@ -171,11 +171,13 @@ def _fold_block_values(shape: AlgebraShape, stacked: np.ndarray,
             # adjacent blocks: a view instead of a copy of the stack, which
             # for an estimator orbit holds thousands of vectors
             seg = stacked[..., start:start + idx.size].reshape(
-                *lead, -1, n, n).swapaxes(-1, -2)
+                *lead, len(idx), n, n).swapaxes(-1, -2)
         else:
             seg = stacked[..., idx]
         s = np.abs(seg) if n == 1 else values(seg)
-        part = ufunc.reduce(s.reshape(*lead, -1), axis=-1)
+        # k blocks give k * n values; the sizes are explicit because an
+        # empty stack leaves no -1 to infer
+        part = ufunc.reduce(s.reshape(*lead, len(idx) * n), axis=-1)
         out = part if out is None else ufunc(out, part)
     return out
 
@@ -540,8 +542,13 @@ def hermitian_basis_matrix(shape: AlgebraShape) -> np.ndarray:
 @functools.cache
 def hermitian_basis_norms(shape: AlgebraShape) -> np.ndarray:
     """Euclidean norms of the columns of ``hermitian_basis_matrix``: 1 for
-    a matrix unit, sqrt(2) for a pair. Memoized per shape; read-only."""
-    norms = np.linalg.norm(hermitian_basis_matrix(shape), axis=0)
+    a matrix unit, sqrt(2) for a pair (entries 1, 1 or i, -i), the floats
+    ``np.linalg.norm`` gives, read off ``_hermitian_index`` without forming
+    the D x D matrix. Memoized per shape; read-only."""
+    _, _, _, diag_cols, pair_cols = _hermitian_index(shape)
+    norms = np.empty(shape.dim)
+    norms[diag_cols] = 1.0
+    norms[pair_cols] = norms[pair_cols + 1] = math.sqrt(2.0)
     norms.setflags(write=False)
     return norms
 

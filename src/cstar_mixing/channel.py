@@ -1,11 +1,12 @@
 """Markov operators: positive/completely positive unital maps.
 
 A MarkovOperator stores a dense D x D superoperator acting on vectorized
-elements, plus where it came from (explicit matrix, Kraus family on the
-block-diagonal embedding, or a classical stochastic matrix) and what is
-known about its positivity. Construction always enforces unitality and
-Hermiticity preservation; positivity claims stronger than "declared" are
-verified, never taken on faith.
+elements (a tensor product forms it only when read), plus where it came
+from (explicit matrix, Kraus family on the block-diagonal embedding, or a
+classical stochastic matrix) and what is known about its positivity.
+Construction always enforces unitality and Hermiticity preservation;
+positivity claims stronger than "declared" are verified, never taken on
+faith.
 
 Complete positivity is tested on the extension X -> embed(T(compress(X)))
 of T to the full matrix algebra M_N: compression and embedding are both CP,
@@ -58,7 +59,9 @@ class MarkovOperator:
     """Unital, Hermiticity-preserving superoperator with provenance."""
 
     shape: AlgebraShape
-    matrix: np.ndarray = field(repr=False)
+    # the superoperator; None for a product made by `tensor`, whose
+    # `matrix` is formed from its factors on first read
+    _matrix: np.ndarray | None = field(repr=False)
     provenance: str = "explicit"
     positivity_claim: str = "declared"
     kraus: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
@@ -73,6 +76,15 @@ class MarkovOperator:
                                  repr=False, compare=False)
     _real: np.ndarray | None = field(default=None, init=False, repr=False,
                                      compare=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The D x D superoperator on vectorized elements; read-only. For a
+        product made by ``tensor`` it is formed from the factors on first
+        read (nothing on the ``classify`` path reads it) and kept."""
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix", _product_matrix(*self.factors))
+        return self._matrix
 
     def __call__(self, x: AlgebraElement) -> AlgebraElement:
         if x.shape != self.shape:
@@ -495,18 +507,21 @@ def tensor(op: MarkovOperator, other: MarkovOperator) -> MarkovOperator:
     steps its orbits as X -> A X B^T on the factors' real matrices, and
     unless a factor is itself such a product, its spectral data is built
     from theirs (the SVD of M - I runs on the kron of their real forms).
-    The dense matrix is still formed.
+    Its dense matrix is formed only when read (``_product_matrix``).
     """
     if not (op.is_cp_verified() and other.is_cp_verified()):
         raise RequiresCP("tensor products are formed for verified CP operators only")
-    shape = op.shape.tensor(other.shape)
+    return MarkovOperator(op.shape.tensor(other.shape), None, "explicit",
+                          "verified_cp", factors=(op, other))
+
+
+def _product_matrix(op: MarkovOperator, other: MarkovOperator) -> np.ndarray:
+    """The matrix of op (x) other: the kron of the factors' matrices,
+    conjugated by the vec-ordering permutation; read-only."""
     perm = tensor_permutation(op.shape, other.shape)
-    big = np.kron(op.matrix, other.matrix)
-    m = big[np.ix_(perm, perm)]     # conjugate by the vec-ordering permutation
-    m = np.ascontiguousarray(m)
+    m = np.ascontiguousarray(np.kron(op.matrix, other.matrix)[np.ix_(perm, perm)])
     m.setflags(write=False)
-    return MarkovOperator(shape, m, "explicit", "verified_cp",
-                          factors=(op, other))
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -519,6 +519,10 @@ def _norm_trace(sys: DynamicalSystem, config: Config, seed: int) -> tuple[bool, 
 # Relative slack on a window mean's norm bound before it rules the mean out:
 # far above the rounding of the bound and of eigvalsh, far below its gap.
 _BOUND_SLACK = 1e-9
+# Bytes of complex window means moved out of the layout at once: 32 means of
+# a unitary (4) square, where a read of all 320 is copied four times over
+# on its way to eigvalsh.
+_READOUT_BYTES = 1 << 17
 
 
 def _cesaro_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
@@ -535,7 +539,7 @@ def _cesaro_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     only when u_j (1 + ``_BOUND_SLACK``) + ``_NORM_FLOOR`` >= nu_i; a mean
     ruled out would have a norm below nu_i, so each window maximum is the
     float a read of all its means gives. Where nu_i is 0 nothing is ruled
-    out.
+    out. Means move out of the layout ``_READOUT_BYTES`` at a time.
     """
     xs = _random_probe_elements(sys, rng, cfg)
     x0 = _centered_columns(sys, xs)
@@ -548,24 +552,25 @@ def _cesaro_norm_estimator(sys: DynamicalSystem, rng: np.random.Generator,
     flat = windows.reshape(da, 2 * w * m, db)
     lengths = ks[-2 * w:]
 
-    def norms_at(cols: np.ndarray) -> np.ndarray:
-        vecs = layout.columns_out(np.take(flat, cols, axis=1))
-        return hermitian_operator_norms(sys.shape, (vecs / lengths[cols // m]).T)
-
+    step = max(1, _READOUT_BYTES // (16 * sys.shape.dim))
     norms = np.zeros(2 * w * m)         # a mean ruled out stays at 0
+
+    def read(cols: np.ndarray) -> None:
+        for start in range(0, cols.size, step):
+            part = cols[start:start + step]
+            vecs = layout.columns_out(np.take(flat, part, axis=1))
+            norms[part] = hermitian_operator_norms(
+                sys.shape, (vecs / lengths[part // m]).T)
+
     anchors = np.r_[:m, w * m:(w + 1) * m]
-    norms[anchors] = norms_at(anchors)
+    read(anchors)
     nu = norms[anchors].reshape(2, 1, m)
     k = lengths.reshape(2, w, 1)
     frobenius = np.linalg.norm(windows - windows[:, :, :1], axis=(0, 4))
     bound = k[:, :1] / k * nu + frobenius / k
     can_be_max = bound * (1 + _BOUND_SLACK) + _NORM_FLOOR >= nu
     can_be_max[:, 0] = False            # the anchors are already read
-    # both windows in one call: at most 2 w m means (320 at the defaults),
-    # each of D entries, are out of the layout at once
-    cols = np.flatnonzero(can_be_max)
-    if cols.size:
-        norms[cols] = norms_at(cols)
+    read(np.flatnonzero(can_be_max))
     return _decided(EstimatorRecord(norms.reshape(2, w, m).max(axis=1), n),
                     cfg, "final", "half")
 
@@ -624,13 +629,19 @@ def _rank_one_matrix(sys: DynamicalSystem) -> np.ndarray:
     return np.outer(_identity_vec(sys.shape), sys.state.row())
 
 
+# residual entries _ergodic_spectral forms at once: a tensor square's
+# residual matrix has D^4 entries (16.8M at M_8); up to D^2 = 256 it is one
+# block
+_RESIDUAL_BLOCK = 1 << 16
+
+
 def _ergodic_spectral(sys: DynamicalSystem, cfg: Config) -> tuple[bool, dict]:
     """phi(h_p C(h_r)) against phi(h_p) phi(h_r) over the Hermitian basis h,
     for the Cesàro projector C = X Y of rank k. The Gram is
     (h^T Q X)(Y h), where row j of h^T Q X is phi(h_p x_j), the pairing of
     h_p with the functional whose blocks are x_j sigma; the rank-one term
     joins it as a (k+1)-th term, so one (D, k+1) by (k+1, D) product gives
-    the residual matrix."""
+    the residual matrix, formed ``_RESIDUAL_BLOCK`` entries at a time."""
     x, y = _cesaro_factors(sys.operator, cfg)
     summ = spectrum(sys.operator, cfg)
     shape = sys.shape
@@ -640,13 +651,27 @@ def _ergodic_spectral(sys: DynamicalSystem, cfg: Config) -> tuple[bool, dict]:
     g = pairing_coordinates(shape, sys.state.row())[None, :]
     left = np.concatenate([pairing_coordinates(shape, rows, axis=1), g])
     right = np.concatenate([pairing_coordinates(shape, y, axis=1), -g])
-    resid = np.abs((left * norms).T @ (right * norms))
+    lhs, rhs = (left * norms).T, right * norms
+    d = len(lhs)
+    step = max(1, _RESIDUAL_BLOCK // d)     # residual rows per block
+    starts = range(0, d, step)
+
+    def block(start: int) -> np.ndarray:
+        return np.abs(lhs[start:start + step] @ rhs)
+
+    tops = []
+    for start in starts:
+        resid = block(start)
+        tops.append(resid.max())
     # the first pair within rounding of the largest residual: symmetric
     # systems tie many pairs (1,728 on example 2's tensor square), and
     # rounding alone should not choose among them
-    top = float(resid.max())
-    first = int(np.argmax(resid >= top * (1.0 - 1e-9)))
-    p, r = np.unravel_index(first, resid.shape)
+    top = float(max(tops))
+    cut = top * (1.0 - 1e-9)
+    start = starts[next(b for b, t in enumerate(tops) if t >= cut)]
+    if start != starts[-1]:             # not the block in hand
+        resid = block(start)
+    p, r = divmod(start * d + int(np.argmax(resid >= cut)), d)
     return bool(top <= cfg.tol_spectral), {
         "residual": top,
         "violating_pair": (int(p), int(r)),

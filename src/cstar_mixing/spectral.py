@@ -59,6 +59,66 @@ def _rank(m: np.ndarray, rel_tol: float) -> int:
     return int(np.sum(s > _cut(s, rel_tol)))
 
 
+# candidate pairs that _components tests at once: bounds its memory when
+# many points lie within the radius (all 4,096 of a square's eigenvalues
+# can, some 8.4M pairs)
+_PAIR_CHUNK = 1 << 16
+
+
+def _join(roots: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Merge the components of the pairs (u[t], v[t]) in ``roots``, which
+    maps every point to the smallest index of its component: the larger of
+    two roots hooks under the smaller, then every point jumps to its root.
+    Each round leaves a root fewer at least, and ends with ``roots`` in the
+    same form."""
+    while True:
+        ru, rv = roots[u], roots[v]
+        split = ru != rv
+        if not split.any():
+            return
+        ru, rv = ru[split], rv[split]
+        np.minimum.at(roots, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = roots[roots]
+            if np.array_equal(up, roots):
+                break
+            roots[:] = up
+        u, v = u[split], v[split]
+
+
+def _components(pts: np.ndarray, radius: float) -> np.ndarray:
+    """For points sorted by real part, the smallest index of each point's
+    connected component in the graph joining points within ``radius``, by
+    the test abs(z_i - z_j) <= radius.
+
+    Exact repeats join their first copy. Of the distinct points, the pairs
+    tested, ``_PAIR_CHUNK`` at a time, are those whose real parts lie
+    within 2 radius: the modulus of a difference is at least its real
+    part, so a pair within ``radius`` differs by at most radius plus
+    rounding in the real part, and lies in that window."""
+    fresh = np.ones(pts.size, dtype=bool)
+    np.not_equal(pts[1:], pts[:-1], out=fresh[1:])
+    first = np.flatnonzero(fresh)
+    z = pts[first]
+    # point i is tested against the count[i] points after it
+    count = np.searchsorted(z.real, z.real + 2 * radius, side="right")
+    count -= np.arange(1, z.size + 1)
+    total = np.cumsum(count)
+    roots = np.arange(z.size)
+    a, done = 0, 0
+    while done < total[-1]:
+        b = max(a + 1, int(np.searchsorted(total, done + _PAIR_CHUNK,
+                                           side="right")))
+        c = count[a:b]
+        i = np.repeat(np.arange(a, b), c)
+        j = i + np.arange(1, i.size + 1) - np.repeat(total[a:b] - c - done, c)
+        near = np.abs(z[i] - z[j]) <= radius
+        if near.any():
+            _join(roots, i[near], j[near])
+        a, done = b, total[b - 1]
+    return first[roots][np.cumsum(fresh) - 1]
+
+
 def _cluster_labels(eigs: np.ndarray, radius: float
                     ) -> tuple[np.ndarray, list[tuple[complex, int]]]:
     """Chain-cluster eigenvalues: the connected components of the graph
@@ -73,16 +133,7 @@ def _cluster_labels(eigs: np.ndarray, radius: float
     """
     order = np.lexsort((eigs.imag, eigs.real))
     pts = eigs[order]
-    near = np.abs(pts[:, None] - pts[None, :]) <= radius
-    # every label is a point of the same component and never above its own
-    # index, so the labels fall to each component's smallest index
-    labels = np.arange(pts.size)
-    while True:
-        low = np.where(near, labels, pts.size).min(axis=1)
-        low = low[low]
-        if np.array_equal(low, labels):
-            break
-        labels = low
+    labels = _components(pts, radius)
     heads = np.flatnonzero(labels == np.arange(pts.size))
     index = np.searchsorted(heads, labels)
     mult = np.bincount(index)

@@ -514,6 +514,8 @@ def test_hermitian_bases_are_memoized_read_only_and_orthonormal(blocks):
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(shape.dim))) <= 1e-15
     assert np.array_equal(basis * hermitian_basis_norms(shape),
                           hermitian_basis_matrix(shape))
+    assert hermitian_basis_norms(shape).tobytes() == np.linalg.norm(
+        hermitian_basis_matrix(shape), axis=0).tobytes()
 
 
 @pytest.mark.parametrize("blocks", BASIS_SHAPES, ids=str)
@@ -554,3 +556,12 @@ def test_norm_folds_do_not_depend_on_the_memory_layout(blocks):
         want = fold(shape, np.ascontiguousarray(stack))
         assert fold(shape, fortran).tobytes() == want.tobytes()
         assert fold(shape, stack.T.copy().T).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("blocks", [(3,), (2, 3), (1, 1, 2), (1, 1)], ids=str)
+def test_norm_folds_of_an_empty_stack_are_empty(blocks):
+    shape = AlgebraShape(blocks)
+    for fold in (hermitian_operator_norms, operator_norms, trace_norms):
+        for lead in ((0,), (2, 0)):
+            got = fold(shape, np.zeros(lead + (shape.dim,), dtype=complex))
+            assert got.shape == lead and got.dtype == float

@@ -280,6 +280,94 @@ def test_cluster_joins_chains():
     assert [k for _, k in _cluster_labels(pair.astype(complex), radius)[1]] == [1, 1]
 
 
+def _dense_cluster_labels(eigs, radius):
+    """The dense O(n^2) clustering that ``_cluster_labels`` replaced: the
+    n x n matrix of distances within ``radius``, with minimum labels
+    propagated over it until they settle."""
+    order = np.lexsort((eigs.imag, eigs.real))
+    pts = eigs[order]
+    near = np.abs(pts[:, None] - pts[None, :]) <= radius
+    labels = np.arange(pts.size)
+    while True:
+        low = np.where(near, labels, pts.size).min(axis=1)
+        low = low[low]
+        if np.array_equal(low, labels):
+            break
+        labels = low
+    heads = np.flatnonzero(labels == np.arange(pts.size))
+    index = np.searchsorted(heads, labels)
+    mult = np.bincount(index)
+    centers = (np.bincount(index, pts.real)
+               + 1j * np.bincount(index, pts.imag)) / mult
+    by_real = np.argsort(centers.real, kind="stable")
+    band = np.cumsum(np.diff(centers.real[by_real], prepend=-np.inf) > radius)
+    ranked = by_real[np.lexsort((centers.imag[by_real], band))]
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(ranked.size)
+    out = np.empty(pts.size, dtype=np.intp)
+    out[order] = rank[index]
+    return out, [(complex(c), int(k))
+                 for c, k in zip(centers[ranked], mult[ranked])]
+
+
+def _factor_products(op):
+    eigs = np.array(spectrum(op).eigenvalues)
+    return np.multiply.outer(eigs, eigs).ravel()
+
+
+def _sweep_inputs():
+    radius = DEFAULT.tol_cluster
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 16, 200):
+        yield f"random-{n}", rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for blocks, kraus in (([3], 1), ([4], 2), ([2, 3], 3)):
+        yield f"square-{blocks}-{kraus}", _factor_products(
+            random_unital_cp(AlgebraShape(blocks), kraus, seed=3))
+    z = np.exp(1j * rng.uniform(0, np.pi, 20)) * rng.uniform(0.2, 1, 20)
+    shifted = np.nextafter(z.real, np.where(rng.random(20) < 0.5, 0, 2)) \
+        - 1j * z.imag
+    yield "conjugates", np.r_[z, shifted]
+    roots = np.exp(2j * np.pi * np.arange(12) / 12)
+    yield "example2-roots", np.repeat(roots, 12)
+    yield "example2-square", _factor_products(example2(12, 5)[0].operator)
+    steps = np.arange(40) * 0.9 * radius
+    yield "chain-real", np.r_[0.3 + steps, 0.5 + 0j]
+    yield "chain-imag", np.r_[0.3 + 1j * steps, 0.5 + 0j]
+    yield "all-equal", np.full(300, 0.7 + 0.1j)
+    yield "near-identity", 1 - rng.uniform(0, 3 * radius, 300) \
+        + 1j * rng.uniform(-radius, radius, 300)
+
+
+@pytest.mark.parametrize("chunk", [None, 5], ids=["one-chunk", "chunks-of-5"])
+@pytest.mark.parametrize("name,eigs", list(_sweep_inputs()),
+                         ids=[name for name, _ in _sweep_inputs()])
+def test_cluster_sweep_matches_the_dense_clustering(name, eigs, chunk,
+                                                     monkeypatch):
+    from cstar_mixing import spectral
+    if chunk is not None:
+        monkeypatch.setattr(spectral, "_PAIR_CHUNK", chunk)
+    radius = DEFAULT.tol_cluster
+    got, want = _cluster_labels(eigs, radius), _dense_cluster_labels(eigs, radius)
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
+def test_cluster_sweep_memory_is_bounded_on_a_coincident_spectrum():
+    # every eigenvalue of the identity's square is 1: 8.4M pairs within the
+    # radius if each pair were formed
+    import tracemalloc
+    eigs = _factor_products(identity_channel(AlgebraShape([8])))
+    assert eigs.size == 4096 and np.all(eigs == 1)
+    tracemalloc.start()
+    try:
+        labels, clusters = _cluster_labels(eigs, DEFAULT.tol_cluster)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clusters == [(1 + 0j, 4096)] and not labels.any()
+    assert peak <= 2 ** 20
+
+
 def _oracle_operators():
     for blocks in ([2], [3], [1, 1, 2], [2, 3]):
         for kraus in (1, 2, 3, 4):

@@ -13,6 +13,7 @@ import scipy.optimize
 
 import cstar_mixing.mixing as mixing
 from cstar_mixing import (
+    AlgebraElement,
     AlgebraShape,
     DynamicalSystem,
     Functional,
@@ -342,32 +343,61 @@ def test_dual_map_of_a_product_reads_the_factors(left, right):
                                    atol=1e-13 * np.abs(row).max())
 
 
-class _Unread(np.ndarray):
-    """An array that fails on any arithmetic, indexing or conversion."""
-
-    def _fail(self, *args, **kwargs):
-        raise AssertionError("the tensor square's matrix was read")
-
-    __array_ufunc__ = __array_function__ = __getitem__ = __array__ = _fail
-
-
 @pytest.mark.parametrize("blocks", [[3], [2, 3]])
 @pytest.mark.parametrize("kraus_count", [1, 2, 3])
 def test_classify_reads_no_matrix_of_the_tensor_square(blocks, kraus_count,
                                                          monkeypatch):
     # every step, spectral datum and psi . T of the square comes from its
-    # factors: with its D^2 x D^2 matrix replaced by NaNs that fail on any
-    # use (NaNs alone would pass a drift check: NaN > tol is False), the
-    # report is the same
+    # factors: with the builder of a product's D^2 x D^2 matrix failing on
+    # any call, the report is the same
+    from cstar_mixing import channel
     from cstar_mixing.serialize import report_to_dict
     op = random_unital_cp(AlgebraShape(blocks), kraus_count, seed=11)
     want = report_to_dict(classify(_system(op)))
-    real = mixing.tensor
+    built = []
 
     def poisoned(a, b):
-        product = real(a, b)
-        object.__setattr__(product, "matrix", np.full_like(
-            product.matrix, np.nan).view(_Unread))
-        return product
-    monkeypatch.setattr(mixing, "tensor", poisoned)
+        built.append((a, b))
+        raise AssertionError("the tensor square's matrix was built")
+    monkeypatch.setattr(channel, "_product_matrix", poisoned)
     assert report_to_dict(classify(_system(op))) == want
+    assert not built
+
+
+def test_classify_holds_no_dense_array_of_the_tensor_square():
+    # M_5's square has side 625, so one dense 625^2 complex array of it is
+    # 6 MiB: classify peaked at 21.1 MiB under tracemalloc while it formed
+    # such arrays, and at 5.6 MiB without them
+    import tracemalloc
+    system = _system(random_unital_cp(AlgebraShape([5]), 2, seed=1))
+    tracemalloc.start()
+    try:
+        classify(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20
+
+
+@pytest.mark.parametrize("left,right", [
+    pytest.param(([2, 3], 2, 4), ([2, 3], 2, 4), id="square-23"),
+    pytest.param(([2], 3, 5), ([1, 2], 2, 6), id="product-2-12"),
+])
+def test_product_matrix_is_built_on_first_read(left, right):
+    from cstar_mixing.algebra import tensor_permutation, transpose_permutation
+    from cstar_mixing.serialize import matrix_to_json, operator_to_dict
+    a, b = (random_unital_cp(AlgebraShape(blocks), kraus, seed=seed)
+            for blocks, kraus, seed in (left, right))
+    op = tensor(a, b)
+    perm = tensor_permutation(a.shape, b.shape)
+    want = np.kron(a.matrix, b.matrix)[np.ix_(perm, perm)]
+    assert op.matrix.tobytes() == want.tobytes()
+    assert op.matrix is op.matrix
+    assert not op.matrix.flags.writeable
+    assert operator_to_dict(op) == {"kind": "superoperator",
+                                    "data": matrix_to_json(want)}
+    x = AlgebraElement.from_vec(
+        op.shape, np.random.default_rng(3).standard_normal(op.dim))
+    assert np.array_equal(op(x).vec(), want @ x.vec())
+    k = transpose_permutation(op.shape)
+    assert np.array_equal(dual(op).matrix, want.T[np.ix_(k, k)])
